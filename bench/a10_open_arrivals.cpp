@@ -38,7 +38,8 @@ core::OpenArrivalConfig make_config(sched::PolicyKind kind,
 int main(int argc, char** argv) {
   using namespace tmc;
   const auto options =
-      bench::parse_ablation_options(argc, argv, /*fault_flags=*/true);
+      bench::parse_bench_options(
+          argc, argv, bench::kAblationFamilies | cli::Family::kFault);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A10: open Poisson arrivals, matmul mix (75% small / "
                "25% large),\nmean response over 96 measured jobs (16 warm-up) "

@@ -34,7 +34,8 @@ double run_point(sched::PolicyKind kind, net::TopologyKind topo,
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const auto options = bench::parse_ablation_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kAblationFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A11: store-and-forward packet-size sweep\n"
                "(matmul batch, adaptive architecture, one 16-node "

@@ -52,7 +52,8 @@ struct Point {
 
 int main(int argc, char** argv) {
   const auto options =
-      bench::parse_ablation_options(argc, argv, /*fault_flags=*/true);
+      bench::parse_bench_options(
+          argc, argv, bench::kAblationFamilies | cli::Family::kFault);
   std::cout << "Ablation A12: scheduling policies under node failures\n"
                "(16-node mesh, partition size 4, 3000 jobs at 25/s, "
                "exponential repair mttr=2s,\nheartbeat 0.25s, restart budget "

@@ -20,7 +20,6 @@
 //
 // All strategy randomness is seeded per job (fixed --steal-seed), so every
 // table is bit-identical at any --threads, and a ctest golden.
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -112,15 +111,13 @@ std::string fmt_count(std::uint64_t v) { return std::to_string(v); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto options = bench::parse_ablation_options(argc, argv,
-                                               /*fault_flags=*/true,
-                                               /*steal_flags=*/true);
   // Stealing on by default; an explicit --steal-rate (including 0) wins.
-  bool rate_given = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--steal-rate", 12) == 0) rate_given = true;
-  }
-  if (!rate_given) options.stealing.steal_rate = 10'000.0;
+  bench::FigureOptions defaults;
+  defaults.stealing.steal_rate = 10'000.0;
+  const auto options = bench::parse_bench_options(
+      argc, argv,
+      bench::kAblationFamilies | cli::Family::kFault | cli::Family::kSteal,
+      defaults);
 
   std::cout << "Ablation A13: the work-stealing architecture, priced by the "
                "network\n(16 nodes; batch: 3+1 jobs; serving: 1200 jobs at "

@@ -55,7 +55,8 @@ double run_policy(sched::PolicyKind kind, int partition, double cv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_ablation_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kAblationFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A1: mean response vs service-demand variance\n"
                "(synthetic fork/join batch of 16 jobs, mean demand 4 s, "

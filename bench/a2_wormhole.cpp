@@ -34,7 +34,8 @@ double run_point(net::TopologyKind topology, bool wormhole,
 
 int main(int argc, char** argv) {
   const auto options =
-      bench::parse_ablation_options(argc, argv, /*fault_flags=*/true);
+      bench::parse_bench_options(
+          argc, argv, bench::kAblationFamilies | cli::Family::kFault);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A2: store-and-forward vs wormhole routing\n"
                "(matmul batch, fixed architecture, pure time-sharing on one "

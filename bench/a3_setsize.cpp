@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const auto options = bench::parse_ablation_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kAblationFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A3: hybrid set-size sweep\n"
                "(matmul batch, adaptive architecture, partition size 4, "

@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const auto options = bench::parse_ablation_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kAblationFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A5: node memory sweep (pure time-sharing, matmul "
                "batch,\nfixed architecture, 16-node mesh)\n";

@@ -38,7 +38,8 @@ double ts_point(bool gang, bool rotate, bench::ObsSession& obs,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto options = bench::parse_ablation_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kAblationFamilies);
   bench::ObsSession obs(options.obs);
 
   // Point 0 is the static yardstick; 1-4 are the TS variants in table order.

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   using namespace tmc;
   using Broadcast = workload::MatMulParams::Broadcast;
   const auto options =
-      bench::parse_ablation_options(argc, argv, /*fault_flags=*/true);
+      bench::parse_bench_options(
+          argc, argv, bench::kAblationFamilies | cli::Family::kFault);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A8: point-to-point vs binomial-tree work "
                "distribution\n(matmul batch, adaptive architecture, mesh "

@@ -31,7 +31,8 @@ core::ExperimentConfig adaptive_config(workload::App app,
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const auto options = bench::parse_ablation_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kAblationFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Ablation A9: adaptive space-sharing (buddy-allocated, "
                "equipartition target)\nvs fixed static partitions and the "

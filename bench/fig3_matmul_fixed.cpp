@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const auto options = bench::parse_figure_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kFigureFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Figure 3: matmul, fixed architecture (12x50^2 + 4x100^2, "
                "16 processes/job)\n";

@@ -8,7 +8,8 @@
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const auto options = bench::parse_figure_options(argc, argv);
+  const auto options =
+      bench::parse_bench_options(argc, argv, bench::kFigureFamilies);
   bench::ObsSession obs(options.obs);
   std::cout << "Figure 6: sort, adaptive architecture (12x6000 + 4x14000 "
                "elements, processes = partition size)\n";

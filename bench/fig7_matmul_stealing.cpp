@@ -5,21 +5,18 @@
 // the steal price is topology- and contention-dependent. --steal-rate 0
 // degenerates byte-identically to figure 3 (the engine is never built and
 // the jobs run their fallback fixed scripts).
-#include <cstring>
 #include <iostream>
 
 #include "figure_common.h"
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  auto options = bench::parse_figure_options(argc, argv, /*steal_flags=*/true);
   // Stealing on by default (a 10 kHz idle poll); an explicit --steal-rate
   // (including 0) wins.
-  bool rate_given = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--steal-rate", 12) == 0) rate_given = true;
-  }
-  if (!rate_given) options.stealing.steal_rate = 10'000.0;
+  bench::FigureOptions defaults;
+  defaults.stealing.steal_rate = 10'000.0;
+  const auto options = bench::parse_bench_options(
+      argc, argv, bench::kFigureFamilies | cli::Family::kSteal, defaults);
 
   bench::ObsSession obs(options.obs);
   std::cout << "Figure 7: matmul, work-stealing architecture (12x50^2 + "

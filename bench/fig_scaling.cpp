@@ -26,8 +26,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -39,6 +37,7 @@
 #include "net/routing.h"
 #include "net/topology.h"
 #include "obs/hub.h"
+#include "sched/stealing/stealing.h"
 #include "workload/batch.h"
 
 #if defined(__GLIBC__)
@@ -172,21 +171,6 @@ void write_json(const std::string& path, const std::vector<SizePoint>& points) {
   out << "  ]\n}\n";
 }
 
-[[noreturn]] void usage(int code) {
-  std::cout << "usage: fig_scaling [--sizes N,N,...] [--reps R] [--json PATH]\n"
-               "  --sizes  machine sizes to run (default 16,64,256,1024;\n"
-               "           each must be a multiple of 16)\n"
-               "  --reps   repetitions per size, best wall time kept\n"
-               "           (default 5; short runs are noise-prone)\n"
-               "  --json   write a Google-Benchmark-format report for\n"
-               "           tools/perf_gate.py\n"
-            << obs::cli_help()
-            << "  (observability records the first rep of the largest\n"
-               "   size; best-of wall times still come from the\n"
-               "   uninstrumented reps when --reps > 1)\n";
-  std::exit(code);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -194,66 +178,47 @@ int main(int argc, char** argv) {
   int reps = 5;
   std::string json_path;
   obs::Options obs_options;
-  for (int i = 1; i < argc; ++i) {
-    std::string obs_error;
-    if (obs::parse_cli_flag(argc, argv, i, obs_options, obs_error)) {
-      if (!obs_error.empty()) {
-        std::cerr << "fig_scaling: " << obs_error << "\n";
-        return 2;
-      }
-      continue;
-    }
-    fault::FaultConfig rejected_faults;
-    bool fault_seen = false;
-    if (fault::parse_cli_flag(argc, argv, i, rejected_faults, fault_seen,
-                              obs_error) ||
-        fault_seen) {
-      std::cerr << "fig_scaling: fault-injection flags only apply to benches "
-                   "wired for them (fig3-6, a2, a8, a10, a12_faults, "
-                   "serve_sustained)\n";
-      return 2;
-    }
-    const std::string arg = argv[i];
-    auto value = [&](const std::string& prefix) -> std::optional<std::string> {
-      if (arg.rfind(prefix + "=", 0) == 0) return arg.substr(prefix.size() + 1);
-      if (arg == prefix && i + 1 < argc) return std::string(argv[++i]);
-      return std::nullopt;
-    };
-    if (arg == "--help" || arg == "-h") usage(0);
-    if (const auto v = value("--sizes")) {
-      sizes.clear();
-      std::stringstream ss(*v);
-      for (std::string tok; std::getline(ss, tok, ',');) {
-        const int n = std::atoi(tok.c_str());
-        if (n < 16 || n % 16 != 0) {
-          std::cerr << "fig_scaling: bad size '" << tok
-                    << "' (want a multiple of 16)\n";
-          return 2;
+  fault::FaultConfig unwired_faults;
+  sched::stealing::StealParams unwired_steal;
+  const cli::Flag sizes_row{
+      "--sizes", cli::Kind::kText, "N,N,...",
+      "machine sizes to run (default 16,64,256,1024;\n"
+      "each must be a multiple of 16)",
+      cli::Family::kOwn, [&sizes](std::string_view list) -> std::string {
+        sizes.clear();
+        for (std::size_t start = 0; start <= list.size();) {
+          const std::size_t comma =
+              std::min(list.find(',', start), list.size());
+          const std::string_view token = list.substr(start, comma - start);
+          int n = 0;
+          if (!cli::parse_integer("--sizes", token, 16,
+                                  std::numeric_limits<int>::max(), n)
+                   .empty() ||
+              n % 16 != 0) {
+            return "--sizes: bad size '" + std::string(token) +
+                   "' (want a multiple of 16)";
+          }
+          sizes.push_back(n);
+          start = comma + 1;
         }
-        sizes.push_back(n);
-      }
-      continue;
-    }
-    if (const auto v = value("--reps")) {
-      reps = std::atoi(v->c_str());
-      if (reps < 1) {
-        std::cerr << "fig_scaling: bad --reps '" << *v << "'\n";
-        return 2;
-      }
-      continue;
-    }
-    if (const auto v = value("--json")) {
-      json_path = *v;
-      continue;
-    }
-    std::cerr << "fig_scaling: unknown flag '" << arg << "'\n";
-    usage(2);
-  }
-  if (!obs_options.slo.empty()) {
-    std::cerr << "fig_scaling: --slo only applies to the serving harness "
-                 "(serve_sustained)\n";
-    return 2;
-  }
+        return {};
+      }};
+  cli::Table("fig_scaling", {cli::Family::kObs})
+      .add({sizes_row,
+            cli::integer("--reps", "R", reps,
+                         "repetitions per size, best wall time kept\n"
+                         "(default 5; short runs are noise-prone)",
+                         1),
+            cli::text("--json", "PATH", json_path,
+                      "write a Google-Benchmark-format report for\n"
+                      "tools/perf_gate.py")})
+      .add(obs::cli_flags(obs_options))
+      .add(fault::cli_flags(unwired_faults))
+      .add(sched::stealing::cli_flags(unwired_steal))
+      .notes("observability records the first rep of the largest size;\n"
+             "best-of wall times still come from the uninstrumented reps\n"
+             "when --reps > 1\n")
+      .parse_or_exit(argc, argv);
 
   std::cout << "Scaling study: static policy, 16-node mesh partitions, "
                "matmul batch scaled\nwith the machine (12+4 jobs per 16 "

@@ -1,8 +1,7 @@
 #include "figure_common.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <string_view>
 
 #include "core/report.h"
 #include "core/sweep_runner.h"
@@ -11,149 +10,33 @@ namespace tmc::bench {
 
 namespace {
 
-[[noreturn]] void usage(const char* argv0, bool figure_flags, bool obs_flags,
-                        bool fault_flags, bool steal_flags, int exit_code) {
-  auto& os = exit_code == 0 ? std::cout : std::cerr;
-  os << "usage: " << argv0 << " [--threads N]";
-  if (figure_flags) os << " [--csv] [--with-16h] [--quick]";
-  if (obs_flags) os << " [--metrics[=PATH]] [--timeline=PATH]";
-  if (fault_flags) os << " [--fault-rate R]";
-  if (steal_flags) os << " [--steal-rate R]";
-  os << " [--help]\n"
-     << "  --threads N  farm sweep points over N worker threads\n"
-     << "               (0 = hardware thread count; output is identical\n"
-     << "               at any thread count). Default 1.\n";
-  if (figure_flags) {
-    os << "  --csv        also emit the table as CSV\n"
-       << "  --with-16h   include the 16-node hypercube the real machine\n"
-       << "               could not wire\n"
-       << "  --quick      reduced problem (smaller batch and job sizes,\n"
-       << "               partition sizes 1/4/16) for regression tests\n";
-  }
-  if (obs_flags) os << obs::cli_help();
-  if (fault_flags) os << fault::cli_help();
-  if (steal_flags) os << sched::stealing::cli_help();
-  std::exit(exit_code);
-}
-
-int parse_thread_value(const char* argv0, bool figure_flags, bool obs_flags,
-                       bool fault_flags, bool steal_flags, const char* value) {
-  if (value == nullptr) {
-    usage(argv0, figure_flags, obs_flags, fault_flags, steal_flags, 2);
-  }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0' || parsed < 0 || parsed > 4096) {
-    std::cerr << argv0 << ": --threads expects an integer in [0, 4096], got '"
-              << value << "'\n";
-    std::exit(2);
-  }
-  return static_cast<int>(parsed);
-}
-
-/// Shared strict parser: `figure_flags` enables --csv/--with-16h,
-/// `obs_flags` the shared observability flags, `fault_flags` the --fault-*
-/// family (parsed either way so unsupporting benches reject them with a
-/// targeted message rather than "unknown option").
-FigureOptions parse_options(int argc, char** argv, bool figure_flags,
-                            bool obs_flags, bool fault_flags,
-                            bool steal_flags) {
-  FigureOptions options;
-  bool faults_seen = false;
-  bool steal_seen = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string obs_error;
-    if (obs_flags &&
-        obs::parse_cli_flag(argc, argv, i, options.obs, obs_error)) {
-      if (!obs_error.empty()) {
-        std::cerr << argv[0] << ": " << obs_error << "\n";
-        std::exit(2);
-      }
-      continue;
-    }
-    std::string fault_error;
-    if (fault::parse_cli_flag(argc, argv, i, options.faults, faults_seen,
-                              fault_error)) {
-      if (!fault_error.empty()) {
-        std::cerr << argv[0] << ": " << fault_error << "\n";
-        std::exit(2);
-      }
-      continue;
-    }
-    std::string steal_error;
-    if (sched::stealing::parse_cli_flag(argc, argv, i, options.stealing,
-                                        steal_seen, steal_error)) {
-      if (!steal_error.empty()) {
-        std::cerr << argv[0] << ": " << steal_error << "\n";
-        std::exit(2);
-      }
-      continue;
-    }
-    if (figure_flags && std::strcmp(argv[i], "--csv") == 0) {
-      options.csv = true;
-    } else if (figure_flags && std::strcmp(argv[i], "--with-16h") == 0) {
-      options.with_16h = true;
-    } else if (figure_flags && std::strcmp(argv[i], "--quick") == 0) {
-      options.quick = true;
-      options.partition_sizes = {1, 4, 16};
-    } else if (std::strcmp(argv[i], "--threads") == 0) {
-      options.threads = parse_thread_value(
-          argv[0], figure_flags, obs_flags, fault_flags, steal_flags,
-          i + 1 < argc ? argv[i + 1] : nullptr);
-      ++i;
-    } else if (std::strcmp(argv[i], "--help") == 0 ||
-               std::strcmp(argv[i], "-h") == 0) {
-      usage(argv[0], figure_flags, obs_flags, fault_flags, steal_flags, 0);
-    } else {
-      std::cerr << argv[0] << ": unknown option '" << argv[i] << "'\n";
-      usage(argv[0], figure_flags, obs_flags, fault_flags, steal_flags, 2);
-    }
-  }
-  if (!options.obs.slo.empty()) {
-    std::cerr << argv[0] << ": --slo only applies to the serving harness "
-                            "(serve_sustained)\n";
-    std::exit(2);
-  }
-  if (faults_seen && !fault_flags) {
-    std::cerr << argv[0] << ": fault-injection flags only apply to benches "
-                            "wired for them (fig3-6, a2, a8, a10, a12_faults, "
-                            "serve_sustained)\n";
-    std::exit(2);
-  }
-  if (steal_seen && !steal_flags) {
-    std::cerr << argv[0] << ": work-stealing flags only apply to benches "
-                            "wired for the stealing architecture "
-                            "(fig7_matmul_stealing, a13_stealing, "
-                            "serve_sustained)\n";
-    std::exit(2);
-  }
-  return options;
-}
-
 constexpr net::TopologyKind kAllTopologies[] = {
     net::TopologyKind::kLinear, net::TopologyKind::kRing,
     net::TopologyKind::kMesh, net::TopologyKind::kHypercube};
 
 }  // namespace
 
-FigureOptions parse_figure_options(int argc, char** argv, bool steal_flags) {
-  return parse_options(argc, argv, /*figure_flags=*/true, /*obs_flags=*/true,
-                       /*fault_flags=*/true, steal_flags);
-}
-
-int parse_threads_only(int argc, char** argv) {
-  return parse_options(argc, argv, /*figure_flags=*/false, /*obs_flags=*/false,
-                       /*fault_flags=*/false, /*steal_flags=*/false)
-      .threads;
-}
-
-AblationOptions parse_ablation_options(int argc, char** argv, bool fault_flags,
-                                       bool steal_flags) {
-  const FigureOptions parsed =
-      parse_options(argc, argv, /*figure_flags=*/false, /*obs_flags=*/true,
-                    fault_flags, steal_flags);
-  return AblationOptions{parsed.threads, parsed.obs, parsed.faults,
-                         parsed.stealing};
+FigureOptions parse_bench_options(int argc, char** argv,
+                                  cli::Families families,
+                                  FigureOptions options) {
+  const std::string_view path = argc > 0 ? argv[0] : "bench";
+  cli::Table table(std::string(path.substr(path.rfind('/') + 1)), families);
+  table.add({cli::threads(options.threads)})
+      .add(cli::in_family(
+          cli::Family::kFigure,
+          {cli::toggle("--csv", options.csv, "also emit the table as CSV"),
+           cli::toggle("--with-16h", options.with_16h,
+                       "include the 16-node hypercube the real machine\n"
+                       "could not wire"),
+           cli::toggle("--quick", options.quick,
+                       "reduced problem (smaller batch and job sizes,\n"
+                       "partition sizes 1/4/16) for regression tests")}))
+      .add(obs::cli_flags(options.obs))
+      .add(fault::cli_flags(options.faults))
+      .add(sched::stealing::cli_flags(options.stealing))
+      .parse_or_exit(argc, argv);
+  if (options.quick) options.partition_sizes = {1, 4, 16};
+  return options;
 }
 
 std::vector<FigureRow> run_figure_sweep(workload::App app,

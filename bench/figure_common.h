@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "core/experiment.h"
 #include "fault/fault.h"
 #include "obs/hub.h"
@@ -29,7 +30,8 @@ struct FigureOptions {
   /// golden-figure ctest rows use this to cover fig3-6 cheaply.
   bool quick = false;
   /// Worker threads for the sweep (0 = hardware thread count). The table is
-  /// bit-identical at any thread count; only wall-clock changes.
+  /// bit-identical at any thread count; only wall-clock changes. The
+  /// ablations use this struct too, ignoring the figure-only fields.
   int threads = 1;
   /// Partition sizes to sweep.
   std::vector<int> partition_sizes{1, 2, 4, 8, 16};
@@ -43,32 +45,23 @@ struct FigureOptions {
   sched::stealing::StealParams stealing{};
 };
 
-/// Parses --csv / --with-16h / --quick / --threads N plus the shared
-/// observability flags (used by every figure bench binary). Unknown flags or
-/// bad values print a usage message and exit with code 2; --help exits 0.
-/// `steal_flags` admits the --steal-* family; benches that leave it false
-/// reject those flags with a targeted diagnostic (mirrors --fault-*).
-[[nodiscard]] FigureOptions parse_figure_options(int argc, char** argv,
-                                                 bool steal_flags = false);
+/// The families every figure bench (fig3-7), and every ablation, accepts;
+/// a bench adds the families it also wires, e.g.
+/// `kAblationFamilies | cli::Family::kFault`.
+inline constexpr cli::Families kFigureFamilies{
+    cli::Family::kThreads, cli::Family::kFigure, cli::Family::kObs,
+    cli::Family::kFault};
+inline constexpr cli::Families kAblationFamilies{cli::Family::kThreads,
+                                              cli::Family::kObs};
 
-/// Parser for the ablation benches, which take only --threads N (same
-/// validation and exit conventions as parse_figure_options).
-[[nodiscard]] int parse_threads_only(int argc, char** argv);
-
-/// Options for the observability-enabled ablation benches (a2, a8, a10):
-/// --threads N plus the shared observability flags.
-struct AblationOptions {
-  int threads = 1;
-  obs::Options obs;
-  fault::FaultConfig faults{};
-  sched::stealing::StealParams stealing{};
-};
-/// `fault_flags` admits the --fault-* family and `steal_flags` the
-/// --steal-* family; benches that leave one false reject its flags with a
-/// targeted diagnostic (exit 2), matching --slo.
-[[nodiscard]] AblationOptions parse_ablation_options(int argc, char** argv,
-                                                     bool fault_flags = false,
-                                                     bool steal_flags = false);
+/// Parses argv into `options`, whose fields hold the defaults, against the
+/// shared bench rows: --threads, the figure switches, and the obs, slo,
+/// fault and steal families. Flags outside `families` are rejected with
+/// their family's message. Exits 2 on a bad flag and 0 after --help.
+/// --quick also narrows the partition sizes to {1, 4, 16}.
+[[nodiscard]] FigureOptions parse_bench_options(int argc, char** argv,
+                                                cli::Families families,
+                                                FigureOptions options = {});
 
 /// Owns the optional hub for one bench invocation. A sweep runs many
 /// simulations (often in parallel); exactly one -- the representative point

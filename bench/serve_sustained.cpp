@@ -18,7 +18,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/report.h"
@@ -33,8 +36,6 @@ using namespace tmc;
 struct ServeOptions {
   std::uint64_t jobs = 1'000'000;
   std::uint64_t warmup = 10'000;
-  bool jobs_set = false;
-  bool warmup_set = false;
   bool quick = false;
   double rate = 25.0;
   std::string process = "poisson";
@@ -50,116 +51,65 @@ struct ServeOptions {
   sched::stealing::StealParams stealing;
 };
 
-[[noreturn]] void usage(int code) {
-  std::ostream& os = code == 0 ? std::cout : std::cerr;
-  os << "usage: serve_sustained [options]\n"
-        "  --jobs N        arrivals to serve (default 1000000)\n"
-        "  --warmup N      arrivals excluded from stats (default 10000,\n"
-        "                  clamped to jobs/10)\n"
-        "  --quick         golden-test preset: jobs 4000, warmup 400\n"
-        "                  (explicit --jobs/--warmup still win)\n"
-        "  --rate R        mean arrivals per simulated second (default 25)\n"
-        "  --process KIND  poisson | mmpp | diurnal (default poisson)\n"
-        "  --policy NAME   static | hybrid | adaptive | all (default all)\n"
-        "  --threads N     farm the per-policy runs over N workers\n"
-        "  --backlog N     admission backlog bound, 0 = unbounded "
-        "(default 10000)\n"
-        "  --window S      completion-rate window, simulated seconds "
-        "(default 10)\n"
-        "  --seed N        stream seed (default 1)\n"
-        "  --json PATH     write a Google-Benchmark-shaped report\n"
-        "  --rss-check     fail (exit 1) unless resident memory is flat\n"
-        "                  from 25% of the run to the end (needs --threads 1)\n"
-     << obs::cli_help() << fault::cli_help() << sched::stealing::cli_help();
-  std::exit(code);
-}
-
 ServeOptions parse(int argc, char** argv) {
   ServeOptions opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const char* flag) -> const char* {
-      if (arg != flag) return nullptr;
-      if (i + 1 >= argc) {
-        std::cerr << "serve_sustained: " << flag << " needs a value\n";
-        usage(2);
-      }
-      return argv[++i];
-    };
-    std::string obs_error;
-    if (arg == "--help" || arg == "-h") usage(0);
-    if (const char* v = value("--jobs")) {
-      opt.jobs = std::strtoull(v, nullptr, 10);
-      opt.jobs_set = true;
-    } else if (const char* v2 = value("--warmup")) {
-      opt.warmup = std::strtoull(v2, nullptr, 10);
-      opt.warmup_set = true;
-    } else if (arg == "--quick") {
-      opt.quick = true;
-    } else if (const char* v3 = value("--rate")) {
-      opt.rate = std::strtod(v3, nullptr);
-    } else if (const char* v4 = value("--process")) {
-      opt.process = v4;
-    } else if (const char* v5 = value("--policy")) {
-      opt.policy = v5;
-    } else if (const char* v6 = value("--threads")) {
-      opt.threads = std::atoi(v6);
-    } else if (const char* v7 = value("--backlog")) {
-      opt.backlog = std::strtoull(v7, nullptr, 10);
-    } else if (const char* v8 = value("--window")) {
-      opt.window_s = std::strtod(v8, nullptr);
-    } else if (const char* v9 = value("--seed")) {
-      opt.seed = std::strtoull(v9, nullptr, 10);
-    } else if (const char* v10 = value("--json")) {
-      opt.json_path = v10;
-    } else if (arg == "--rss-check") {
-      opt.rss_check = true;
-    } else if (obs::parse_cli_flag(argc, argv, i, opt.obs, obs_error)) {
-      if (!obs_error.empty()) {
-        std::cerr << "serve_sustained: " << obs_error << "\n";
-        usage(2);
-      }
-    } else if (bool seen = false; fault::parse_cli_flag(
-                   argc, argv, i, opt.faults, seen, obs_error)) {
-      if (!obs_error.empty()) {
-        std::cerr << "serve_sustained: " << obs_error << "\n";
-        usage(2);
-      }
-    } else if (bool sseen = false; sched::stealing::parse_cli_flag(
-                   argc, argv, i, opt.stealing, sseen, obs_error)) {
-      if (!obs_error.empty()) {
-        std::cerr << "serve_sustained: " << obs_error << "\n";
-        usage(2);
-      }
-    } else {
-      std::cerr << "serve_sustained: unknown flag '" << arg << "'\n";
-      usage(2);
-    }
-  }
+  const auto words = [](std::initializer_list<std::string_view> list) {
+    std::vector<std::pair<std::string_view, std::string>> out;
+    for (const std::string_view w : list) out.emplace_back(w, w);
+    return out;
+  };
+  cli::Table table("serve_sustained",
+                   {cli::Family::kThreads, cli::Family::kObs,
+                    cli::Family::kSlo, cli::Family::kFault,
+                    cli::Family::kSteal});
+  table
+      .add({
+          cli::integer<std::uint64_t>("--jobs", "N", opt.jobs,
+                                      "arrivals to serve (default 1000000)",
+                                      1),
+          cli::integer("--warmup", "N", opt.warmup,
+                       "arrivals excluded from stats (default 10000,\n"
+                       "clamped to jobs/10)"),
+          cli::toggle("--quick", opt.quick,
+                      "golden-test preset: jobs 4000, warmup 400\n"
+                      "(explicit --jobs/--warmup still win)"),
+          cli::real("--rate", "R", opt.rate,
+                    "mean arrivals per simulated second (default 25)",
+                    cli::positive()),
+          cli::choice("--process", opt.process,
+                      words({"poisson", "mmpp", "diurnal"}),
+                      "arrival process (default poisson)"),
+          cli::choice("--policy", opt.policy,
+                      words({"static", "hybrid", "adaptive", "all"}),
+                      "policies to serve (default all)"),
+          cli::threads(opt.threads),
+          cli::integer("--backlog", "N", opt.backlog,
+                       "admission backlog bound, 0 = unbounded\n"
+                       "(default 10000)"),
+          cli::real("--window", "S", opt.window_s,
+                    "completion-rate window, simulated seconds\n"
+                    "(default 10)",
+                    cli::positive()),
+          cli::integer("--seed", "N", opt.seed, "stream seed (default 1)"),
+          cli::text("--json", "PATH", opt.json_path,
+                    "write a Google-Benchmark-shaped report"),
+          cli::toggle("--rss-check", opt.rss_check,
+                      "fail (exit 1) unless resident memory is flat\n"
+                      "from 25% of the run to the end (needs --threads 1)"),
+      })
+      .add(obs::cli_flags(opt.obs))
+      .add(fault::cli_flags(opt.faults))
+      .add(sched::stealing::cli_flags(opt.stealing))
+      .parse_or_exit(argc, argv);
   if (opt.quick) {
-    if (!opt.jobs_set) opt.jobs = 4'000;
-    if (!opt.warmup_set) opt.warmup = 400;
-  }
-  if (opt.jobs == 0 || opt.rate <= 0.0 || opt.window_s <= 0.0 ||
-      opt.threads < 0) {
-    std::cerr << "serve_sustained: invalid option value\n";
-    usage(2);
+    if (!table.was_set("--jobs")) opt.jobs = 4'000;
+    if (!table.was_set("--warmup")) opt.warmup = 400;
   }
   opt.warmup = std::min(opt.warmup, opt.jobs / 10);
-  if (opt.process != "poisson" && opt.process != "mmpp" &&
-      opt.process != "diurnal") {
-    std::cerr << "serve_sustained: unknown process '" << opt.process << "'\n";
-    usage(2);
-  }
-  if (opt.policy != "static" && opt.policy != "hybrid" &&
-      opt.policy != "adaptive" && opt.policy != "all") {
-    std::cerr << "serve_sustained: unknown policy '" << opt.policy << "'\n";
-    usage(2);
-  }
   if (opt.rss_check && opt.threads != 1) {
     std::cerr << "serve_sustained: --rss-check needs --threads 1 (resident "
                  "memory is per-process)\n";
-    usage(2);
+    std::exit(2);
   }
   return opt;
 }
@@ -225,26 +175,10 @@ struct PolicyRun {
 
 std::string fmt_count(std::uint64_t n) { return std::to_string(n); }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const ServeOptions opt = parse(argc, argv);
-  // SLO targets must name tenant classes of the mix being served.
-  for (const obs::SloTarget& target : opt.obs.slo) {
-    bool known = false;
-    for (const workload::JobClass& cls : tenant_mix()) {
-      if (cls.name == target.job_class) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      std::cerr << "serve_sustained: --slo names unknown class '"
-                << target.job_class
-                << "' (classes: interactive, batch, analytics)\n";
-      usage(2);
-    }
-  }
+/// Runs the configured policies and prints the report; returns the exit
+/// code. Throws std::invalid_argument when the serving config is invalid
+/// (for example an --slo target naming a class outside the tenant mix).
+int serve(const ServeOptions& opt) {
   bench::ObsSession obs(opt.obs);
 
   struct PolicyChoice {
@@ -463,4 +397,15 @@ int main(int argc, char** argv) {
   const int obs_rc = obs.flush(std::cerr);
   if (!rss_ok) return 1;
   return obs_rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return serve(parse(argc, argv));
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "serve_sustained: " << e.what() << "\n";
+    return 2;
+  }
 }

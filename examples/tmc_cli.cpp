@@ -1,36 +1,22 @@
 // tmc_cli: run any single experiment from the command line.
 //
-//   tmc_cli [--app matmul|sort] [--arch fixed|adaptive|stealing]
-//           [--policy static|ts|hybrid|adaptive] [--partition N]
-//           [--topology linear|ring|mesh|hypercube|torus|tree] [--quantum MS]
-//           [--memory MB] [--packet BYTES] [--wormhole] [--rotate-placement]
-//           [--no-gang] [--set-size N] [--order interleaved|sjf|ljf]
-//           [--csv] [--jobs] [--threads N]
-//           [--metrics[=PATH]] [--timeline=PATH] [--sample-interval MS]
-//           [--steal-rate R] [--steal-victim V] [--steal-granularity G]
-//           [--steal-chunk C] [--steal-chunks N] [--steal-seed N]
-//
+// `tmc_cli --help` lists every flag, generated from the flag table below.
 // --arch stealing runs the work-stealing architecture (DESIGN.md §11); the
 // --steal-* knobs require it and the rate defaults to 10000/s there
 // (--steal-rate 0 builds no engine and falls back to the fixed scripts).
-//
-// --metrics dumps the structured metrics registry at end of run (stderr by
-// default; PATH ending in .csv selects CSV, anything else JSON).
-// --timeline writes a Chrome trace_event JSON (load in Perfetto / Chrome
-// about:tracing) with one track per node, link and partition.
-//
-// --threads N farms the static policy's independent best/worst-order runs
-// across N worker threads (0 = hardware thread count); results are
-// identical at any thread count.
+// --order runs one batch in the given order instead of the policy's
+// best/worst-order experiment. Invalid machine configurations (a partition
+// size that does not divide the machine, zero memory) exit 2.
 //
 // Examples:
 //   tmc_cli --app sort --arch fixed --policy static --partition 8 --topology ring
 //   tmc_cli --policy ts --topology linear --wormhole --jobs
 
-#include <cstdlib>
-#include <cstring>
+#include <cstddef>
 #include <iostream>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/experiment.h"
@@ -43,134 +29,96 @@ namespace {
 
 using namespace tmc;
 
-[[noreturn]] void usage(const char* msg) {
-  std::cerr << "tmc_cli: " << msg
-            << "\nrun with the options listed at the top of examples/tmc_cli.cpp\n"
-            << "observability flags:\n"
-            << obs::cli_help() << "work-stealing flags (--arch stealing):\n"
-            << sched::stealing::cli_help();
-  std::exit(2);
-}
-
-const char* next_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) usage("missing value after option");
-  return argv[++i];
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace tmc;
-
+int run_cli(int argc, char** argv) {
   workload::App app = workload::App::kMatMul;
   sched::SoftwareArch arch = sched::SoftwareArch::kAdaptive;
   sched::PolicyKind policy = sched::PolicyKind::kStatic;
   int partition = 4;
   net::TopologyKind topology = net::TopologyKind::kMesh;
   auto order = workload::BatchOrder::kInterleaved;
-  bool explicit_order = false;
+  int quantum_ms = 0;
+  std::size_t memory_mb = 0;
   bool csv = false;
   bool show_jobs = false;
   int threads = 1;
 
   core::ExperimentConfig config;
   obs::Options obs_options;
-  bool steal_seen = false;
-  bool steal_rate_seen = false;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string obs_error;
-    if (obs::parse_cli_flag(argc, argv, i, obs_options, obs_error)) {
-      if (!obs_error.empty()) usage(obs_error.c_str());
-      continue;
-    }
-    if (bool seen = false; sched::stealing::parse_cli_flag(
-            argc, argv, i, config.machine.stealing, seen, obs_error)) {
-      if (!obs_error.empty()) usage(obs_error.c_str());
-      steal_seen = true;
-      if (std::strncmp(argv[i], "--steal-rate", 12) == 0 ||
-          (i > 0 && std::strncmp(argv[i - 1], "--steal-rate", 12) == 0)) {
-        steal_rate_seen = true;
-      }
-      continue;
-    }
-    const std::string opt = argv[i];
-    if (opt == "--app") {
-      const std::string v = next_value(argc, argv, i);
-      if (v == "matmul") app = workload::App::kMatMul;
-      else if (v == "sort") app = workload::App::kSort;
-      else usage("unknown app");
-    } else if (opt == "--arch") {
-      const std::string v = next_value(argc, argv, i);
-      if (v == "fixed") arch = sched::SoftwareArch::kFixed;
-      else if (v == "adaptive") arch = sched::SoftwareArch::kAdaptive;
-      else if (v == "stealing") arch = sched::SoftwareArch::kStealing;
-      else usage("unknown arch");
-    } else if (opt == "--policy") {
-      const std::string v = next_value(argc, argv, i);
-      if (v == "static") policy = sched::PolicyKind::kStatic;
-      else if (v == "ts") policy = sched::PolicyKind::kTimeSharing;
-      else if (v == "hybrid") policy = sched::PolicyKind::kHybrid;
-      else if (v == "adaptive") policy = sched::PolicyKind::kAdaptiveStatic;
-      else usage("unknown policy");
-    } else if (opt == "--partition") {
-      partition = std::atoi(next_value(argc, argv, i));
-    } else if (opt == "--topology") {
-      const std::string v = next_value(argc, argv, i);
-      if (v == "linear") topology = net::TopologyKind::kLinear;
-      else if (v == "ring") topology = net::TopologyKind::kRing;
-      else if (v == "mesh") topology = net::TopologyKind::kMesh;
-      else if (v == "hypercube") topology = net::TopologyKind::kHypercube;
-      else if (v == "torus") topology = net::TopologyKind::kTorus;
-      else if (v == "tree") topology = net::TopologyKind::kTree;
-      else usage("unknown topology");
-    } else if (opt == "--quantum") {
-      config.machine.policy.basic_quantum =
-          sim::SimTime::milliseconds(std::atoi(next_value(argc, argv, i)));
-    } else if (opt == "--memory") {
-      config.machine.memory_per_node =
-          static_cast<std::size_t>(std::atoi(next_value(argc, argv, i))) << 20;
-    } else if (opt == "--packet") {
-      config.machine.network.packet_bytes =
-          static_cast<std::size_t>(std::atol(next_value(argc, argv, i)));
-    } else if (opt == "--set-size") {
-      config.machine.policy.set_size = std::atoi(next_value(argc, argv, i));
-    } else if (opt == "--wormhole") {
-      config.machine.wormhole = true;
-    } else if (opt == "--rotate-placement") {
-      config.machine.partition_sched.rotate_placement = true;
-    } else if (opt == "--no-gang") {
-      config.machine.policy.gang_scheduling = false;
-    } else if (opt == "--order") {
-      const std::string v = next_value(argc, argv, i);
-      explicit_order = true;
-      if (v == "interleaved") order = workload::BatchOrder::kInterleaved;
-      else if (v == "sjf") order = workload::BatchOrder::kSmallestFirst;
-      else if (v == "ljf") order = workload::BatchOrder::kLargestFirst;
-      else usage("unknown order");
-    } else if (opt == "--threads") {
-      const std::string v = next_value(argc, argv, i);
-      char* end = nullptr;
-      const long parsed = std::strtol(v.c_str(), &end, 10);
-      if (end == v.c_str() || *end != '\0' || parsed < 0 || parsed > 4096) {
-        usage("--threads expects an integer in [0, 4096]");
-      }
-      threads = static_cast<int>(parsed);
-    } else if (opt == "--csv") {
-      csv = true;
-    } else if (opt == "--jobs") {
-      show_jobs = true;
-    } else if (opt == "--help" || opt == "-h") {
-      usage("usage");
-    } else {
-      usage(("unknown option " + opt).c_str());
-    }
+  fault::FaultConfig unwired_faults;
+  cli::Table flags("tmc_cli", {cli::Family::kThreads, cli::Family::kObs,
+                              cli::Family::kSlo, cli::Family::kSteal});
+  flags
+      .add({
+          cli::choice("--app", app,
+                      {{"matmul", workload::App::kMatMul},
+                       {"sort", workload::App::kSort}},
+                      "application"),
+          cli::choice("--arch", arch,
+                      {{"fixed", sched::SoftwareArch::kFixed},
+                       {"adaptive", sched::SoftwareArch::kAdaptive},
+                       {"stealing", sched::SoftwareArch::kStealing}},
+                      "software architecture"),
+          cli::choice("--policy", policy,
+                      {{"static", sched::PolicyKind::kStatic},
+                       {"ts", sched::PolicyKind::kTimeSharing},
+                       {"hybrid", sched::PolicyKind::kHybrid},
+                       {"adaptive", sched::PolicyKind::kAdaptiveStatic}},
+                      "processor scheduling policy"),
+          cli::integer("--partition", "N", partition,
+                       "partition size (default 4)"),
+          cli::choice("--topology", topology,
+                      {{"linear", net::TopologyKind::kLinear},
+                       {"ring", net::TopologyKind::kRing},
+                       {"mesh", net::TopologyKind::kMesh},
+                       {"hypercube", net::TopologyKind::kHypercube},
+                       {"torus", net::TopologyKind::kTorus},
+                       {"tree", net::TopologyKind::kTree}},
+                      "partition topology"),
+          cli::integer("--quantum", "MS", quantum_ms,
+                       "basic time-sharing quantum, ms (default 50)"),
+          cli::integer("--memory", "MB", memory_mb, "memory per node, MB",
+                       std::size_t{0},
+                       std::numeric_limits<std::size_t>::max() >> 20),
+          cli::integer("--packet", "BYTES",
+                       config.machine.network.packet_bytes,
+                       "packet size (0 = whole messages)"),
+          cli::toggle("--wormhole", config.machine.wormhole,
+                      "wormhole instead of store-and-forward switching"),
+          cli::toggle("--rotate-placement",
+                      config.machine.partition_sched.rotate_placement,
+                      "rotate job placement across partitions"),
+          cli::toggle("--no-gang", config.machine.policy.gang_scheduling,
+                      "disable gang scheduling", false),
+          cli::integer("--set-size", "N", config.machine.policy.set_size,
+                       "time-sharing set size"),
+          cli::choice("--order", order,
+                      {{"interleaved", workload::BatchOrder::kInterleaved},
+                       {"sjf", workload::BatchOrder::kSmallestFirst},
+                       {"ljf", workload::BatchOrder::kLargestFirst}},
+                      "run one batch in this order"),
+          cli::toggle("--csv", csv, "also emit the table as CSV"),
+          cli::toggle("--jobs", show_jobs, "print the per-job table"),
+          cli::threads(threads),
+      })
+      .add(obs::cli_flags(obs_options))
+      .add(fault::cli_flags(unwired_faults))
+      .add(sched::stealing::cli_flags(config.machine.stealing))
+      .parse_or_exit(argc, argv);
+  if (flags.was_set("--quantum")) {
+    config.machine.policy.basic_quantum =
+        sim::SimTime::milliseconds(quantum_ms);
+  }
+  if (flags.was_set("--memory")) {
+    config.machine.memory_per_node = memory_mb << 20;
   }
 
-  if (steal_seen && arch != sched::SoftwareArch::kStealing) {
-    usage("--steal-* flags require --arch stealing");
+  if (flags.any_set(cli::Family::kSteal) &&
+      arch != sched::SoftwareArch::kStealing) {
+    std::cerr << "tmc_cli: --steal-* flags require --arch stealing\n";
+    return 2;
   }
-  if (arch == sched::SoftwareArch::kStealing && !steal_rate_seen) {
+  if (arch == sched::SoftwareArch::kStealing &&
+      !flags.was_set("--steal-rate")) {
     config.machine.stealing.steal_rate = 10000.0;
   }
 
@@ -190,7 +138,7 @@ int main(int argc, char** argv) {
     config.machine.obs = &*hub;
   }
 
-  if (explicit_order) {
+  if (flags.was_set("--order")) {
     const auto run = core::run_batch(config, order);
     std::cout << config.name << " order=" << workload::to_string(order)
               << "\nmean response: " << core::fmt_seconds(run.mean_response_s())
@@ -232,4 +180,15 @@ int main(int argc, char** argv) {
     jobs.print(std::cout);
   }
   return hub && !hub->write_outputs(std::cerr) ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_cli(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "tmc_cli: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -1,8 +1,7 @@
 #include "fault/fault.h"
 
 #include <cmath>
-#include <cstdlib>
-#include <string_view>
+#include <limits>
 
 namespace tmc::fault {
 namespace {
@@ -11,213 +10,43 @@ namespace {
   return sim::SimTime::nanoseconds(static_cast<std::int64_t>(seconds * 1e9));
 }
 
-/// Splits "--flag=value" / "--flag value" style arguments (the obs layer's
-/// convention): returns true if `arg` names `flag`, with `value` filled and
-/// `has_value` set when the '=' form carried one inline.
-bool match_flag(std::string_view arg, std::string_view flag, bool& has_value,
-                std::string_view& value) {
-  if (arg == flag) {
-    has_value = false;
-    return true;
-  }
-  if (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    has_value = true;
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-bool take_value(std::string_view flag, int argc, char** argv, int& i,
-                bool has_inline, std::string_view inline_value,
-                std::string& out, std::string& error) {
-  if (has_inline) {
-    out.assign(inline_value);
-    return true;
-  }
-  if (i + 1 >= argc) {
-    error = std::string(flag) + " requires a value";
-    return false;
-  }
-  out = argv[++i];
-  return true;
-}
-
-bool parse_double(std::string_view flag, const std::string& text, double min,
-                  double* dst, std::string& error) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !(v >= min)) {
-    error = std::string(flag) + ": expected a number >= " +
-            std::to_string(min) + ", got '" + text + "'";
-    return false;
-  }
-  *dst = v;
-  return true;
-}
-
-bool parse_int(std::string_view flag, const std::string& text, long min,
-               long* dst, std::string& error) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < min) {
-    error = std::string(flag) + ": expected an integer >= " +
-            std::to_string(min) + ", got '" + text + "'";
-    return false;
-  }
-  *dst = v;
-  return true;
-}
-
 }  // namespace
 
-bool parse_cli_flag(int argc, char** argv, int& i, FaultConfig& config,
-                    bool& seen, std::string& error) {
-  const std::string_view arg = argv[i];
-  bool has_inline = false;
-  std::string_view inline_value;
-  std::string text;
-
-  const auto value_of = [&](std::string_view flag) {
-    return take_value(flag, argc, argv, i, has_inline, inline_value, text,
-                      error);
-  };
-
-  if (match_flag(arg, "--fault-rate", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-rate")) {
-      parse_double("--fault-rate", text, 0.0, &config.node_rate, error);
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-dist", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-dist")) {
-      if (text == "poisson") {
-        config.node_dist = FaultDist::kPoisson;
-      } else if (text == "weibull") {
-        config.node_dist = FaultDist::kWeibull;
-      } else {
-        error = "--fault-dist: expected poisson or weibull, got '" + text +
-                "'";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-shape", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-shape")) {
-      parse_double("--fault-shape", text, 0.05, &config.node_weibull_shape,
-                   error);
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-mttr", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-mttr")) {
-      parse_double("--fault-mttr", text, 0.0, &config.node_mttr_s, error);
-      if (error.empty() && config.node_mttr_s <= 0.0) {
-        error = "--fault-mttr: repair time must be positive";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-link-rate", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-link-rate")) {
-      parse_double("--fault-link-rate", text, 0.0, &config.link_rate, error);
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-link-mttr", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-link-mttr")) {
-      parse_double("--fault-link-mttr", text, 0.0, &config.link_mttr_s,
-                   error);
-      if (error.empty() && config.link_mttr_s <= 0.0) {
-        error = "--fault-link-mttr: repair time must be positive";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-drop", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-drop")) {
-      parse_double("--fault-drop", text, 0.0, &config.drop_prob, error);
-      if (error.empty() && config.drop_prob >= 1.0) {
-        error = "--fault-drop: probability must be < 1";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--heartbeat", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--heartbeat")) {
-      parse_double("--heartbeat", text, 0.0, &config.heartbeat_s, error);
-      if (error.empty() && config.heartbeat_s <= 0.0) {
-        error = "--heartbeat: period must be positive";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--retry-budget", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--retry-budget")) {
-      long v = 0;
-      if (parse_int("--retry-budget", text, 0, &v, error)) {
-        config.retry_budget = static_cast<int>(v);
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--retry-backoff", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--retry-backoff")) {
-      parse_double("--retry-backoff", text, 0.0, &config.retry_backoff_s,
-                   error);
-      if (error.empty() && config.retry_backoff_s <= 0.0) {
-        error = "--retry-backoff: backoff must be positive";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-restart-budget", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-restart-budget")) {
-      long v = 0;
-      if (parse_int("--fault-restart-budget", text, 0, &v, error)) {
-        config.restart_budget = static_cast<int>(v);
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--fault-seed", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--fault-seed")) {
-      long v = 0;
-      if (parse_int("--fault-seed", text, 0, &v, error)) {
-        config.seed = static_cast<std::uint64_t>(v);
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-const char* cli_help() {
-  return "  --fault-rate R          node crashes per node-second (0 = off)\n"
-         "  --fault-dist D          node TTF distribution: poisson|weibull\n"
-         "  --fault-shape K         Weibull shape for node TTF (default 0.7)\n"
-         "  --fault-mttr S          mean node repair time, seconds\n"
-         "  --fault-link-rate R     link down episodes per link-second\n"
-         "  --fault-link-mttr S     mean link repair time, seconds\n"
-         "  --fault-drop P          per-message drop probability\n"
-         "  --heartbeat S           failure-detection period, seconds\n"
-         "  --retry-budget N        resends per message before giving up\n"
-         "  --retry-backoff S       base resend backoff, seconds\n"
-         "  --fault-restart-budget N  restarts per job before it fails\n"
-         "  --fault-seed N          seed for the fault streams\n";
+std::vector<cli::Flag> cli_flags(FaultConfig& config) {
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  return cli::in_family(
+      cli::Family::kFault,
+      {
+          cli::real("--fault-rate", "R", config.node_rate,
+                    "node crashes per node-second (0 = off)",
+                    cli::at_least(0.0)),
+          cli::choice("--fault-dist", config.node_dist,
+                      {{"poisson", FaultDist::kPoisson},
+                       {"weibull", FaultDist::kWeibull}},
+                      "node time-to-failure distribution"),
+          cli::real("--fault-shape", "K", config.node_weibull_shape,
+                    "Weibull shape for node TTF (default 0.7)",
+                    cli::at_least(0.05)),
+          cli::real("--fault-mttr", "S", config.node_mttr_s,
+                    "mean node repair time, seconds", cli::positive()),
+          cli::real("--fault-link-rate", "R", config.link_rate,
+                    "link down episodes per link-second",
+                    cli::at_least(0.0)),
+          cli::real("--fault-link-mttr", "S", config.link_mttr_s,
+                    "mean link repair time, seconds", cli::positive()),
+          cli::real("--fault-drop", "P", config.drop_prob,
+                    "per-message drop probability", {0.0, 1.0, false, true}),
+          cli::real("--heartbeat", "S", config.heartbeat_s,
+                    "failure-detection period, seconds", cli::positive()),
+          cli::integer("--retry-budget", "N", config.retry_budget,
+                       "resends per message before giving up", 0, kMaxInt),
+          cli::real("--retry-backoff", "S", config.retry_backoff_s,
+                    "base resend backoff, seconds", cli::positive()),
+          cli::integer("--fault-restart-budget", "N", config.restart_budget,
+                       "restarts per job before it fails", 0, kMaxInt),
+          cli::integer("--fault-seed", "N", config.seed,
+                       "seed for the fault streams"),
+      });
 }
 
 FaultManager::FaultManager(sim::Simulation& sim, const net::Topology& topo,

@@ -25,9 +25,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "net/network.h"
 #include "net/topology.h"
 #include "obs/timeline.h"
@@ -105,15 +105,11 @@ struct FaultCallbacks {
   std::function<void(net::LinkId, bool up)> link_changed;
 };
 
-/// Parses one --fault-*/--heartbeat/--retry-budget flag at argv[i],
-/// advancing i past a consumed value argument. Returns true if the flag was
-/// recognised (whether or not its value parsed; check `error`). Sets `seen`
-/// so callers that do not support faults can reject the flags outright.
-bool parse_cli_flag(int argc, char** argv, int& i, FaultConfig& config,
-                    bool& seen, std::string& error);
-
-/// One-line-per-flag help text for bench --help output.
-[[nodiscard]] const char* cli_help();
+/// Flag rows (family kFault) for `config`: --fault-rate, --fault-dist,
+/// --fault-shape, --fault-mttr, --fault-link-rate, --fault-link-mttr,
+/// --fault-drop, --heartbeat, --retry-budget, --retry-backoff,
+/// --fault-restart-budget and --fault-seed.
+[[nodiscard]] std::vector<cli::Flag> cli_flags(FaultConfig& config);
 
 class FaultManager final : public net::FaultPlane {
  public:

@@ -1,145 +1,55 @@
 #include "obs/hub.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <ostream>
 #include <string_view>
 
 namespace tmc::obs {
-namespace {
 
-/// Splits "--flag=value" at the first '='; returns true when `arg` names
-/// `flag` (with or without a value).
-bool match_flag(std::string_view arg, std::string_view flag, bool& has_value,
-                std::string_view& value) {
-  if (arg.substr(0, flag.size()) != flag) return false;
-  if (arg.size() == flag.size()) {
-    has_value = false;
-    return true;
-  }
-  if (arg[flag.size()] != '=') return false;
-  has_value = true;
-  value = arg.substr(flag.size() + 1);
-  return true;
-}
-
-}  // namespace
-
-bool parse_cli_flag(int argc, char** argv, int& i, Options& options,
-                    std::string& error) {
-  const std::string_view arg = argv[i];
-  bool has_value = false;
-  std::string_view value;
-
-  if (match_flag(arg, "--metrics", has_value, value)) {
-    options.metrics = true;
-    if (has_value) options.metrics_path = value;
-    return true;
-  }
-  if (match_flag(arg, "--timeline", has_value, value)) {
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        error = "--timeline requires a path";
-        return true;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      error = "--timeline requires a non-empty path";
-      return true;
-    }
-    options.timeline_path = value;
-    return true;
-  }
-  if (match_flag(arg, "--timeline-chunk", has_value, value)) {
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        error = "--timeline-chunk requires a record count";
-        return true;
-      }
-      value = argv[++i];
-    }
-    errno = 0;
-    char* end = nullptr;
-    const std::string text(value);
-    const unsigned long long n = std::strtoull(text.c_str(), &end, 10);
-    if (errno != 0 || end == text.c_str() || *end != '\0' || n == 0 ||
-        n > 1ULL << 30) {
-      error = "--timeline-chunk wants a positive record count, got '" + text +
-              "'";
-      return true;
-    }
-    options.timeline_chunk = static_cast<std::size_t>(n);
-    return true;
-  }
-  if (match_flag(arg, "--metrics-stream", has_value, value)) {
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        error = "--metrics-stream requires a path";
-        return true;
-      }
-      value = argv[++i];
-    }
-    if (value.empty()) {
-      error = "--metrics-stream requires a non-empty path";
-      return true;
-    }
-    options.metrics_stream_path = value;
-    return true;
-  }
-  if (match_flag(arg, "--slo", has_value, value)) {
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        error = "--slo requires class=latency targets";
-        return true;
-      }
-      value = argv[++i];
-    }
-    parse_slo_spec(value, options.slo, error);
-    return true;
-  }
-  if (match_flag(arg, "--sample-interval", has_value, value)) {
-    if (!has_value) {
-      if (i + 1 >= argc) {
-        error = "--sample-interval requires a value in milliseconds";
-        return true;
-      }
-      value = argv[++i];
-    }
-    errno = 0;
-    char* end = nullptr;
-    const std::string text(value);
-    const double ms = std::strtod(text.c_str(), &end);
-    if (errno != 0 || end == text.c_str() || *end != '\0' || ms <= 0.0 ||
-        ms > 1e9) {
-      error = "--sample-interval wants a positive millisecond count, got '" +
-              text + "'";
-      return true;
-    }
-    options.sample_interval =
-        sim::SimTime::microseconds(static_cast<std::int64_t>(ms * 1000.0));
-    return true;
-  }
-  return false;
-}
-
-std::string cli_help() {
-  return "  --metrics[=PATH]      dump the metrics registry at end of run\n"
-         "                        (stderr by default; *.csv selects CSV)\n"
-         "  --timeline=PATH       record a Chrome trace_event timeline\n"
-         "                        (open in Perfetto / chrome://tracing)\n"
-         "  --timeline-chunk N    stream the timeline to disk every N\n"
-         "                        records instead of buffering the run\n"
-         "  --metrics-stream=PATH JSONL sampler stream (one line per tick,\n"
-         "                        O(1) memory; works without --timeline)\n"
-         "  --sample-interval MS  counter-sampling period for --timeline\n"
-         "                        and --metrics-stream (default 100)\n"
-         "  --slo CLASS=LAT[@PCT][,...]\n"
-         "                        per-class response-time targets for the\n"
-         "                        serving harness (ns/us/ms/s suffixes;\n"
-         "                        objective percent defaults to 99), e.g.\n"
-         "                        --slo interactive=50ms,batch=2s@95\n";
+std::vector<cli::Flag> cli_flags(Options& options) {
+  std::vector<cli::Flag> rows = cli::in_family(cli::Family::kObs, {
+      cli::inline_path("--metrics", options.metrics, options.metrics_path,
+                       "dump the metrics registry at end of run\n"
+                       "(stderr by default; *.csv selects CSV)"),
+      cli::text("--timeline", "PATH", options.timeline_path,
+                "record a Chrome trace_event timeline\n"
+                "(open in Perfetto / chrome://tracing)"),
+      cli::integer<std::size_t>("--timeline-chunk", "N",
+                                options.timeline_chunk,
+                                "stream the timeline to disk every N\n"
+                                "records instead of buffering the run",
+                                1, std::size_t{1} << 30),
+      cli::text("--metrics-stream", "PATH", options.metrics_stream_path,
+                "JSONL sampler stream (one line per tick,\n"
+                "O(1) memory; works without --timeline)"),
+      {"--sample-interval", cli::Kind::kReal, "MS",
+       "counter-sampling period for --timeline\n"
+       "and --metrics-stream (default 100)",
+       cli::Family::kObs,
+       [&options](std::string_view v) {
+         double ms = 0.0;
+         std::string error = cli::parse_real("--sample-interval", v,
+                                             {0.0, 1e9, true}, ms);
+         if (error.empty()) {
+           options.sample_interval = sim::SimTime::microseconds(
+               static_cast<std::int64_t>(ms * 1000.0));
+         }
+         return error;
+       }},
+  });
+  rows.push_back(
+      {"--slo", cli::Kind::kText, "CLASS=LAT[@PCT][,...]",
+       "per-class response-time targets for the\n"
+       "serving harness (ns/us/ms/s suffixes;\n"
+       "objective percent defaults to 99), e.g.\n"
+       "--slo interactive=50ms,batch=2s@95",
+       cli::Family::kSlo,
+       [&options](std::string_view v) {
+         std::string error;
+         parse_slo_spec(v, options.slo, error);
+         return error;
+       }});
+  return rows;
 }
 
 Hub::Hub(Options options) : options_(std::move(options)) {

@@ -7,9 +7,9 @@
 // "representative" run (the primary scheduling order / replication 0) so the
 // single-threaded instruments are never shared across workers.
 //
-// The CLI surface (`--metrics[=path]`, `--timeline=path`,
-// `--timeline-chunk N`, `--metrics-stream=path`, `--sample-interval MS`) is
-// parsed here so tmc_cli and every bench agree on flag semantics.
+// The CLI rows (`--metrics[=path]`, `--timeline=path`, `--timeline-chunk N`,
+// `--metrics-stream=path`, `--sample-interval MS`, `--slo`) are declared
+// here so tmc_cli and every bench agree on flag semantics.
 //
 // Two sinks exist for long-lived (sustained-serving) runs where buffering
 // every record would grow without bound:
@@ -27,7 +27,9 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "cli/flags.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
@@ -53,14 +55,9 @@ struct Options {
   }
 };
 
-/// Consumes one observability flag starting at argv[i], advancing `i` past
-/// any value it takes. Returns true if the flag was recognised; on a
-/// malformed value, fills `error` and still returns true (callers bail out).
-bool parse_cli_flag(int argc, char** argv, int& i, Options& options,
-                    std::string& error);
-
-/// Usage text for the shared flags, one per line, indented two spaces.
-[[nodiscard]] std::string cli_help();
+/// Flag rows for `options`: --metrics, --timeline, --timeline-chunk,
+/// --metrics-stream and --sample-interval in family kObs, --slo in kSlo.
+[[nodiscard]] std::vector<cli::Flag> cli_flags(Options& options);
 
 class Hub {
  public:

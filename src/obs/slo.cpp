@@ -1,9 +1,9 @@
 #include "obs/slo.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <iterator>
 #include <utility>
+
+#include "cli/flags.h"
 
 namespace tmc::obs {
 namespace {
@@ -23,12 +23,8 @@ bool parse_latency(std::string_view text, double& out_s) {
   } else if (!text.empty() && text.back() == 's') {
     text.remove_suffix(1);
   }
-  if (text.empty()) return false;
-  const std::string digits(text);
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(digits.c_str(), &end);
-  if (errno != 0 || end != digits.c_str() + digits.size() || value <= 0.0) {
+  double value = 0.0;
+  if (!cli::parse_real("--slo", text, cli::positive(), value).empty()) {
     return false;
   }
   out_s = value * scale;
@@ -48,13 +44,11 @@ bool parse_entry(std::string_view entry, SloTarget& target,
 
   const std::size_t at = value.find('@');
   if (at != std::string_view::npos) {
-    const std::string pct_text(value.substr(at + 1));
-    errno = 0;
-    char* end = nullptr;
-    const double pct = std::strtod(pct_text.c_str(), &end);
-    if (errno != 0 || end != pct_text.c_str() + pct_text.size() ||
-        pct <= 0.0 || pct >= 100.0) {
-      error = "--slo objective '" + pct_text +
+    const std::string_view pct_text = value.substr(at + 1);
+    double pct = 0.0;
+    if (!cli::parse_real("--slo", pct_text, {0.0, 100.0, true, true}, pct)
+             .empty()) {
+      error = "--slo objective '" + std::string(pct_text) +
               "' wants a percentage in (0, 100), e.g. @99.9";
       return false;
     }

@@ -1,7 +1,7 @@
 #include "sched/stealing/stealing.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <limits>
 
 namespace tmc::sched::stealing {
 
@@ -79,166 +79,36 @@ std::vector<std::size_t> chunk_sizes(std::size_t total, int workers,
   return sizes;
 }
 
-namespace {
-
-bool match_flag(std::string_view arg, std::string_view flag, bool& has_value,
-                std::string_view& value) {
-  if (arg == flag) {
-    has_value = false;
-    return true;
-  }
-  if (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
-      arg[flag.size()] == '=') {
-    has_value = true;
-    value = arg.substr(flag.size() + 1);
-    return true;
-  }
-  return false;
-}
-
-bool take_value(std::string_view flag, int argc, char** argv, int& i,
-                bool has_inline, std::string_view inline_value,
-                std::string& out, std::string& error) {
-  if (has_inline) {
-    out.assign(inline_value);
-    return true;
-  }
-  if (i + 1 >= argc) {
-    error = std::string(flag) + " requires a value";
-    return false;
-  }
-  out = argv[++i];
-  return true;
-}
-
-bool parse_double(std::string_view flag, const std::string& text, double min,
-                  double* dst, std::string& error) {
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0' || !(v >= min)) {
-    error = std::string(flag) + ": expected a number >= " +
-            std::to_string(min) + ", got '" + text + "'";
-    return false;
-  }
-  *dst = v;
-  return true;
-}
-
-bool parse_int(std::string_view flag, const std::string& text, long min,
-               long* dst, std::string& error) {
-  char* end = nullptr;
-  const long v = std::strtol(text.c_str(), &end, 10);
-  if (end == text.c_str() || *end != '\0' || v < min) {
-    error = std::string(flag) + ": expected an integer >= " +
-            std::to_string(min) + ", got '" + text + "'";
-    return false;
-  }
-  *dst = v;
-  return true;
-}
-
-}  // namespace
-
-bool parse_cli_flag(int argc, char** argv, int& i, StealParams& params,
-                    bool& seen, std::string& error) {
-  const std::string_view arg = argv[i];
-  bool has_inline = false;
-  std::string_view inline_value;
-  std::string text;
-
-  const auto value_of = [&](std::string_view flag) {
-    return take_value(flag, argc, argv, i, has_inline, inline_value, text,
-                      error);
-  };
-
-  if (match_flag(arg, "--steal-rate", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--steal-rate")) {
-      parse_double("--steal-rate", text, 0.0, &params.steal_rate, error);
-    }
-    return true;
-  }
-  if (match_flag(arg, "--steal-victim", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--steal-victim")) {
-      if (text == "random") {
-        params.victim = VictimPolicy::kRandom;
-      } else if (text == "nearest") {
-        params.victim = VictimPolicy::kNearest;
-      } else if (text == "last") {
-        params.victim = VictimPolicy::kLastVictim;
-      } else {
-        error = "--steal-victim: expected random, nearest or last, got '" +
-                text + "'";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--steal-granularity", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--steal-granularity")) {
-      if (text == "task") {
-        params.granularity = Granularity::kSingleTask;
-      } else if (text == "half") {
-        params.granularity = Granularity::kHalfDeque;
-      } else {
-        error = "--steal-granularity: expected task or half, got '" + text +
-                "'";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--steal-chunk", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--steal-chunk")) {
-      if (text == "static") {
-        params.chunking = Chunking::kStatic;
-      } else if (text == "guided") {
-        params.chunking = Chunking::kGuided;
-      } else if (text == "factoring") {
-        params.chunking = Chunking::kFactoring;
-      } else {
-        error = "--steal-chunk: expected static, guided or factoring, got '" +
-                text + "'";
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--steal-chunks", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--steal-chunks")) {
-      long v = 0;
-      if (parse_int("--steal-chunks", text, 1, &v, error)) {
-        params.chunks_per_worker = static_cast<int>(v);
-      }
-    }
-    return true;
-  }
-  if (match_flag(arg, "--steal-seed", has_inline, inline_value)) {
-    seen = true;
-    if (value_of("--steal-seed")) {
-      long v = 0;
-      if (parse_int("--steal-seed", text, 0, &v, error)) {
-        params.seed = static_cast<std::uint64_t>(v);
-      }
-    }
-    return true;
-  }
-  return false;
-}
-
-const char* cli_help() {
-  return "  --steal-rate R         idle-worker steal attempts per second "
-         "(0 = stealing off)\n"
-         "  --steal-victim V       victim selection: random | nearest | "
-         "last\n"
-         "  --steal-granularity G  per-grant migration: task | half "
-         "(half the victim's deque)\n"
-         "  --steal-chunk C        decomposition schedule: static | guided "
-         "| factoring\n"
-         "  --steal-chunks N       chunks per worker under --steal-chunk "
-         "static (default 8)\n"
-         "  --steal-seed S         seed of the victim-selection streams\n";
+std::vector<cli::Flag> cli_flags(StealParams& params) {
+  return cli::in_family(
+      cli::Family::kSteal,
+      {
+          cli::real("--steal-rate", "R", params.steal_rate,
+                    "idle-worker steal attempts per second\n"
+                    "(0 = stealing off)",
+                    cli::at_least(0.0)),
+          cli::choice("--steal-victim", params.victim,
+                      {{"random", VictimPolicy::kRandom},
+                       {"nearest", VictimPolicy::kNearest},
+                       {"last", VictimPolicy::kLastVictim}},
+                      "victim selection"),
+          cli::choice("--steal-granularity", params.granularity,
+                      {{"task", Granularity::kSingleTask},
+                       {"half", Granularity::kHalfDeque}},
+                      "per-grant migration (half = half the\n"
+                      "victim's deque)"),
+          cli::choice("--steal-chunk", params.chunking,
+                      {{"static", Chunking::kStatic},
+                       {"guided", Chunking::kGuided},
+                       {"factoring", Chunking::kFactoring}},
+                      "decomposition schedule"),
+          cli::integer("--steal-chunks", "N", params.chunks_per_worker,
+                       "chunks per worker under --steal-chunk\n"
+                       "static (default 8)",
+                       1, std::numeric_limits<int>::max()),
+          cli::integer("--steal-seed", "S", params.seed,
+                       "seed of the victim-selection streams"),
+      });
 }
 
 }  // namespace tmc::sched::stealing

@@ -13,10 +13,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
+#include "cli/flags.h"
 #include "sim/time.h"
 
 namespace tmc::sched::stealing {
@@ -108,15 +108,8 @@ struct StealStats {
                                                    Chunking chunking,
                                                    int chunks_per_worker);
 
-/// Parses one --steal-* flag at argv[i], advancing i past a consumed value
-/// argument. Returns true if the flag was recognised (whether or not its
-/// value parsed; check `error`). Sets `seen` so benches that do not wire
-/// the stealing architecture can reject the flags outright (mirrors the
-/// --fault-* contract).
-bool parse_cli_flag(int argc, char** argv, int& i, StealParams& params,
-                    bool& seen, std::string& error);
-
-/// One-line-per-flag help text for bench --help output.
-[[nodiscard]] const char* cli_help();
+/// Flag rows (family kSteal) for `params`: --steal-rate, --steal-victim,
+/// --steal-granularity, --steal-chunk, --steal-chunks and --steal-seed.
+[[nodiscard]] std::vector<cli::Flag> cli_flags(StealParams& params);
 
 }  // namespace tmc::sched::stealing

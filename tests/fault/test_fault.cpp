@@ -1,4 +1,4 @@
-// Tests for the deterministic fault-injection subsystem: CLI parsing,
+// Tests for the deterministic fault-injection subsystem: CLI rows,
 // FaultManager episode mechanics, the Mmu owner-cancel hook a crashing node
 // relies on, and the end-to-end recovery invariants of a sustained serving
 // run under crashes, link flaps and message drops.
@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/flags.h"
 #include "core/machine.h"
 #include "core/serve.h"
 #include "mem/mmu.h"
@@ -22,31 +23,29 @@ using namespace tmc;
 
 // --- CLI parsing -----------------------------------------------------------
 
-/// Runs every argv token through parse_cli_flag the way the benches do.
-fault::FaultConfig parse_all(std::vector<const char*> argv, bool& seen,
-                             std::string& error) {
-  fault::FaultConfig config;
-  const int argc = static_cast<int>(argv.size());
-  for (int i = 0; i < argc; ++i) {
-    EXPECT_TRUE(fault::parse_cli_flag(
-        argc, const_cast<char**>(argv.data()), i, config, seen, error))
-        << "flag not recognised: " << argv[static_cast<std::size_t>(i)];
-    if (!error.empty()) break;
-  }
-  return config;
+/// Parses `args` through a flag table holding the fault rows, the way the
+/// benches do; `seen` reports whether any fault flag was stored.
+cli::Table::Result parse_all(std::vector<const char*> args,
+                             fault::FaultConfig& config, bool& seen) {
+  args.insert(args.begin(), "bench");
+  cli::Table table("bench", {cli::Family::kFault});
+  table.add(fault::cli_flags(config));
+  const auto result = table.parse(static_cast<int>(args.size()), args.data());
+  seen = table.any_set(cli::Family::kFault);
+  return result;
 }
 
 TEST(FaultCli, ParsesEveryFlag) {
   bool seen = false;
-  std::string error;
-  const fault::FaultConfig config = parse_all(
+  fault::FaultConfig config;
+  const auto result = parse_all(
       {"--fault-rate", "0.5", "--fault-dist", "weibull", "--fault-shape",
        "1.5", "--fault-mttr", "3", "--fault-link-rate", "0.1",
        "--fault-link-mttr", "0.5", "--fault-drop", "0.01", "--heartbeat",
        "0.1", "--retry-budget", "4", "--retry-backoff", "0.01",
        "--fault-restart-budget", "2", "--fault-seed", "7"},
-      seen, error);
-  EXPECT_TRUE(error.empty()) << error;
+      config, seen);
+  EXPECT_EQ(result.status, cli::Table::Status::kOk) << result.error;
   EXPECT_TRUE(seen);
   EXPECT_DOUBLE_EQ(config.node_rate, 0.5);
   EXPECT_EQ(config.node_dist, fault::FaultDist::kWeibull);
@@ -74,25 +73,20 @@ TEST(FaultCli, RejectsMalformedValues) {
        }) {
     fault::FaultConfig config;
     bool seen = false;
-    std::string error;
-    int i = 0;
-    EXPECT_TRUE(fault::parse_cli_flag(static_cast<int>(bad.size()),
-                                      const_cast<char**>(bad.data()), i,
-                                      config, seen, error));
-    EXPECT_FALSE(error.empty()) << "accepted: " << bad[0];
+    const auto result = parse_all(bad, config, seen);
+    EXPECT_EQ(result.status, cli::Table::Status::kError) << "accepted: "
+                                                          << bad[0];
+    EXPECT_FALSE(result.error.empty()) << "accepted: " << bad[0];
   }
 }
 
 TEST(FaultCli, IgnoresUnrelatedFlags) {
-  const char* argv[] = {"--jobs", "100"};
   fault::FaultConfig config;
   bool seen = false;
-  std::string error;
-  int i = 0;
-  EXPECT_FALSE(fault::parse_cli_flag(2, const_cast<char**>(argv), i, config,
-                                     seen, error));
+  const auto result = parse_all({"--jobs", "100"}, config, seen);
+  // Not a fault row: the table reports it as unknown, not as a fault error.
+  EXPECT_EQ(result.error, "unknown flag '--jobs'");
   EXPECT_FALSE(seen);
-  EXPECT_TRUE(error.empty());
   EXPECT_FALSE(config.enabled());
 }
 

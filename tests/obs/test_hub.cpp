@@ -8,78 +8,59 @@
 namespace tmc::obs {
 namespace {
 
-/// Runs parse_cli_flag over a whole argv the way the binaries do; returns
-/// the indices it did NOT consume.
-std::vector<std::string> parse_all(std::vector<const char*> args,
-                                   Options& options, std::string& error) {
+/// Parses `args` through a flag table holding the obs and slo rows, the way
+/// the binaries do; returns the error, empty on success.
+std::string parse_all(std::vector<const char*> args, Options& options) {
   args.insert(args.begin(), "prog");
-  std::vector<std::string> rest;
-  const int argc = static_cast<int>(args.size());
-  for (int i = 1; i < argc; ++i) {
-    if (parse_cli_flag(argc, const_cast<char**>(args.data()), i, options,
-                       error)) {
-      if (!error.empty()) return rest;
-      continue;
-    }
-    rest.emplace_back(args[static_cast<std::size_t>(i)]);
-  }
-  return rest;
+  cli::Table table("prog", {cli::Family::kObs, cli::Family::kSlo});
+  table.add(cli_flags(options));
+  return table.parse(static_cast<int>(args.size()), args.data()).error;
 }
 
 TEST(HubCli, MetricsFlagWithAndWithoutPath) {
   Options options;
-  std::string error;
-  auto rest = parse_all({"--metrics", "--other"}, options, error);
-  EXPECT_TRUE(error.empty());
+  // --metrics never takes the next token as its path.
+  EXPECT_EQ(parse_all({"--metrics", "--other"}, options),
+            "unknown flag '--other'");
   EXPECT_TRUE(options.metrics);
   EXPECT_TRUE(options.metrics_path.empty());
-  ASSERT_EQ(rest.size(), 1u);
-  EXPECT_EQ(rest[0], "--other");
 
   Options with_path;
-  parse_all({"--metrics=out.csv"}, with_path, error);
+  EXPECT_EQ(parse_all({"--metrics=out.csv"}, with_path), "");
   EXPECT_TRUE(with_path.metrics);
   EXPECT_EQ(with_path.metrics_path, "out.csv");
 }
 
 TEST(HubCli, TimelineTakesPathInBothForms) {
   Options options;
-  std::string error;
-  parse_all({"--timeline=trace.json"}, options, error);
+  EXPECT_EQ(parse_all({"--timeline=trace.json"}, options), "");
   EXPECT_EQ(options.timeline_path, "trace.json");
 
   Options spaced;
-  parse_all({"--timeline", "t.json"}, spaced, error);
-  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(parse_all({"--timeline", "t.json"}, spaced), "");
   EXPECT_EQ(spaced.timeline_path, "t.json");
 
   Options missing;
-  parse_all({"--timeline"}, missing, error);
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(parse_all({"--timeline"}, missing).empty());
 }
 
 TEST(HubCli, SampleIntervalValidatesMilliseconds) {
   Options options;
-  std::string error;
-  parse_all({"--sample-interval", "2.5"}, options, error);
-  EXPECT_TRUE(error.empty());
+  EXPECT_EQ(parse_all({"--sample-interval", "2.5"}, options), "");
   EXPECT_EQ(options.sample_interval, sim::SimTime::microseconds(2500));
 
   Options bad;
-  parse_all({"--sample-interval=-1"}, bad, error);
-  EXPECT_FALSE(error.empty());
-  error.clear();
-  parse_all({"--sample-interval=zoom"}, bad, error);
-  EXPECT_FALSE(error.empty());
+  EXPECT_FALSE(parse_all({"--sample-interval=-1"}, bad).empty());
+  EXPECT_FALSE(parse_all({"--sample-interval=zoom"}, bad).empty());
 }
 
 TEST(HubCli, UnrelatedFlagsAreNotConsumed) {
-  Options options;
-  std::string error;
-  const auto rest =
-      parse_all({"--threads", "4", "--metricsx"}, options, error);
-  EXPECT_FALSE(options.metrics);
-  EXPECT_EQ(rest.size(), 3u);
+  for (const char* token : {"--threads", "4", "--metricsx"}) {
+    Options options;
+    EXPECT_EQ(parse_all({token}, options),
+              "unknown flag '" + std::string(token) + "'");
+    EXPECT_FALSE(options.metrics);
+  }
 }
 
 TEST(Hub, AnyReflectsRequestedOutputs) {

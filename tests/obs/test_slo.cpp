@@ -58,6 +58,9 @@ TEST(SloSpec, RejectsMalformedEntries) {
   (void)parse_err("interactive=50xs");       // unknown suffix
   (void)parse_err("interactive=50ms@0");     // objective out of range
   (void)parse_err("interactive=50ms@100");   // objective out of range
+  (void)parse_err("interactive=nan");        // not a number
+  (void)parse_err("interactive=infs");       // not finite
+  (void)parse_err("interactive=50ms@nan");   // objective not a number
   (void)parse_err("a=1s,a=2s");              // duplicate class
 }
 
