@@ -6,9 +6,11 @@
 // Poisson arrival stream of the matmul mix through the static, hybrid and
 // adaptive space-sharing policies at increasing load.
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 
-#include "core/open_arrivals.h"
 #include "core/report.h"
+#include "core/serve.h"
 #include "core/sweep_runner.h"
 #include "figure_common.h"
 
@@ -16,27 +18,45 @@ namespace {
 
 using namespace tmc;
 
-core::OpenArrivalConfig make_config(sched::PolicyKind kind,
-                                    double arrivals_per_second,
-                                    std::uint64_t seed) {
-  core::OpenArrivalConfig config;
+constexpr int kWarmupJobs = 16;
+constexpr int kTotalJobs = kWarmupJobs + 96;
+constexpr std::size_t kReplications = 3;
+
+/// One stream: the paper's batch mix as two arrival classes. Class order is
+/// [large, small] so the stream's class draw consumes the same uniform as a
+/// `bernoulli(large_count/total)` would; the kFixed service model draws no
+/// randomness, since make_job sizes each job from its class alone.
+core::ServeConfig make_config(sched::PolicyKind kind,
+                              const workload::BatchParams& mix,
+                              double arrivals_per_second) {
+  core::ServeConfig config;
   config.machine.topology = net::TopologyKind::kMesh;
   config.machine.policy.kind = kind;
   config.machine.policy.partition_size = 4;
   config.machine.max_sim_time = sim::SimTime::seconds(3000);
-  config.mix = workload::default_batch(workload::App::kMatMul,
-                                       sched::SoftwareArch::kAdaptive);
-  config.arrivals_per_second = arrivals_per_second;
-  config.warmup_jobs = 16;
-  config.measured_jobs = 96;
-  config.seed = seed;
+  config.process.rate_per_s = arrivals_per_second;
+  workload::JobClass large;
+  large.name = "large";
+  large.weight = mix.large_count;
+  workload::JobClass small;
+  small.name = "small";
+  small.weight = mix.small_count;
+  config.classes = {large, small};
+  config.total_jobs = kTotalJobs;
+  config.warmup_jobs = kWarmupJobs;
+  config.max_backlog = 0;
   return config;
 }
+
+struct Replication {
+  double mean_response_s = 0.0;
+  /// Arrival rate x mean serial demand / processors.
+  double offered_load = 0.0;
+};
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  using namespace tmc;
   const auto options =
       bench::parse_bench_options(
           argc, argv, bench::kAblationFamilies | cli::Family::kFault);
@@ -45,11 +65,13 @@ int main(int argc, char** argv) {
                "25% large),\nmean response over 96 measured jobs (16 warm-up) "
                "x 3 seeds; partition size 4.\n";
 
+  const auto mix = workload::default_batch(workload::App::kMatMul,
+                                           sched::SoftwareArch::kAdaptive);
   core::SweepRunner runner(options.threads);
   core::Table table({"arrivals/s", "offered load", "static (s)", "hybrid (s)",
                      "adaptive (s)"});
   // The observed run is the first cell's replication 0 (static policy at
-  // the lightest load); sibling replications detach inside the harness.
+  // the lightest load).
   bool first_cell = true;
   for (const double rate : {2.0, 4.0, 6.0, 8.0, 10.0, 12.0}) {
     double load = 0.0;
@@ -58,20 +80,42 @@ int main(int argc, char** argv) {
                                        sched::PolicyKind::kHybrid,
                                        sched::PolicyKind::kAdaptiveStatic};
     for (int k = 0; k < 3; ++k) {
-      // The three seeded replications of one stream run in parallel;
-      // a nullopt replication means the stream outran the policy.
-      auto config = make_config(kinds[k], rate, /*seed=*/1);
-      config.machine.faults = options.faults;
-      obs.attach(config.machine, first_cell);
+      core::ServeConfig cell = make_config(kinds[k], mix, rate);
+      cell.machine.faults = options.faults;
+      obs.attach(cell.machine, first_cell);
       first_cell = false;
-      const auto replications =
-          core::run_open_arrival_replications(config, 3, runner);
+      // The three seeded replications of one stream run in parallel; a
+      // nullopt replication means the stream outran the policy.
+      const auto replications = runner.map(
+          kReplications, [&](std::size_t i) -> std::optional<Replication> {
+            core::ServeConfig point = cell;
+            point.seed = 1 + i;
+            // The hub's instruments are single-threaded, so the siblings of
+            // the observed replication 0 (possibly concurrent) detach.
+            if (i != 0) point.machine.obs = nullptr;
+            double demand_s = 0.0;
+            point.make_job = [&](const workload::JobClass&,
+                                 const workload::Arrival& arrival) {
+              sched::JobSpec spec =
+                  workload::make_batch_job(mix, arrival.job_class == 0);
+              demand_s += spec.demand_estimate.to_seconds();
+              return spec;
+            };
+            try {
+              const core::ServeResult result = core::run_sustained(point);
+              return Replication{result.response_s.mean(),
+                                 rate * (demand_s / kTotalJobs) /
+                                     point.machine.processors};
+            } catch (const std::runtime_error&) {
+              return std::nullopt;  // watchdog: unstable
+            }
+          });
       sim::OnlineStats over_seeds;
       bool saturated = false;
-      for (const auto& run : replications) {
-        if (run) {
-          over_seeds.add(run->response_all.mean());
-          load = run->offered_load;
+      for (const auto& replication : replications) {
+        if (replication) {
+          over_seeds.add(replication->mean_response_s);
+          load = replication->offered_load;
         } else {
           saturated = true;
         }

@@ -108,9 +108,7 @@ core::ServeConfig serve_config(sched::SoftwareArch arch,
 
 std::string fmt_count(std::uint64_t v) { return std::to_string(v); }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // Stealing on by default; an explicit --steal-rate (including 0) wins.
   bench::FigureOptions defaults;
   defaults.stealing.steal_rate = 10'000.0;
@@ -320,4 +318,10 @@ int main(int argc, char** argv) {
                "the normal retry/abort path, so stealing keeps its edge "
                "without losing more jobs.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

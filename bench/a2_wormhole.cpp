@@ -30,9 +30,7 @@ double run_point(net::TopologyKind topology, bool wormhole,
   return core::run_experiment(config).mean_response_s;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const auto options =
       bench::parse_bench_options(
           argc, argv, bench::kAblationFamilies | cli::Family::kFault);
@@ -81,4 +79,10 @@ int main(int argc, char** argv) {
                "spread is much closer to 1\n(the paper's predicted loss of "
                "topology sensitivity).\n";
   return obs.flush(std::cerr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

@@ -31,9 +31,7 @@ core::ExperimentConfig config_for(sched::PolicyKind kind, int partition,
   return config;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace tmc;
   using Broadcast = workload::MatMulParams::Broadcast;
   const auto options =
@@ -92,4 +90,10 @@ int main(int argc, char** argv) {
                "broadcast), widening static's margin\nover time-sharing -- "
                "the paper's algorithm choice was the scheduler's handicap.\n";
   return obs.flush(std::cerr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

@@ -5,7 +5,9 @@
 
 #include "figure_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tmc;
   const auto options =
       bench::parse_bench_options(argc, argv, bench::kFigureFamilies);
@@ -22,4 +24,10 @@ int main(int argc, char** argv) {
                "processes => fewer\nself-sends and buffers); at one "
                "partition the two architectures coincide.\n";
   return obs.flush(std::cerr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

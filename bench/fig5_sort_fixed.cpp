@@ -4,7 +4,9 @@
 
 #include "figure_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tmc;
   const auto options =
       bench::parse_bench_options(argc, argv, bench::kFigureFamilies);
@@ -21,4 +23,10 @@ int main(int argc, char** argv) {
                "fixed architecture is\nfast in absolute terms because 16 "
                "small chunks sidestep selection sort's O(n^2).\n";
   return obs.flush(std::cerr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

@@ -6,7 +6,9 @@
 
 #include "figure_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tmc;
   const auto options =
       bench::parse_bench_options(argc, argv, bench::kFigureFamilies);
@@ -23,4 +25,10 @@ int main(int argc, char** argv) {
                "partition sizes\n(adaptive makes chunks large and selection "
                "sort quadratic); static still beats TS.\n";
   return obs.flush(std::cerr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

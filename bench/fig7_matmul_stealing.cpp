@@ -9,7 +9,9 @@
 
 #include "figure_common.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace tmc;
   // Stealing on by default (a 10 kHz idle poll); an explicit --steal-rate
   // (including 0) wins.
@@ -37,4 +39,10 @@ int main(int argc, char** argv) {
                "protocol's polling and per-tasklet result traffic\nshow up "
                "as a small overhead on the thin-bisection topologies.\n";
   return obs.flush(std::cerr);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

@@ -1,6 +1,7 @@
 #include "figure_common.h"
 
 #include <iostream>
+#include <stdexcept>
 #include <string_view>
 
 #include "core/report.h"
@@ -14,13 +15,26 @@ constexpr net::TopologyKind kAllTopologies[] = {
     net::TopologyKind::kLinear, net::TopologyKind::kRing,
     net::TopologyKind::kMesh, net::TopologyKind::kHypercube};
 
+std::string binary_name(int argc, char** argv) {
+  const std::string_view path = argc > 0 ? argv[0] : "bench";
+  return std::string(path.substr(path.rfind('/') + 1));
+}
+
 }  // namespace
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::runtime_error& e) {
+    std::cerr << binary_name(argc, argv) << ": " << e.what() << "\n";
+    return 3;
+  }
+}
 
 FigureOptions parse_bench_options(int argc, char** argv,
                                   cli::Families families,
                                   FigureOptions options) {
-  const std::string_view path = argc > 0 ? argv[0] : "bench";
-  cli::Table table(std::string(path.substr(path.rfind('/') + 1)), families);
+  cli::Table table(binary_name(argc, argv), families);
   table.add({cli::threads(options.threads)})
       .add(cli::in_family(
           cli::Family::kFigure,

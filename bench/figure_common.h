@@ -63,6 +63,12 @@ inline constexpr cli::Families kAblationFamilies{cli::Family::kThreads,
                                                 cli::Families families,
                                                 FigureOptions options = {});
 
+/// Runs `body(argc, argv)` as a bench's whole main. A simulation that cannot
+/// finish -- the machine watchdog's std::runtime_error, e.g. under a fault
+/// rate that leaves too few nodes alive -- prints `<binary>: <what>` on
+/// stderr and exits 3 instead of aborting.
+[[nodiscard]] int run_main(int argc, char** argv, int (*body)(int, char**));
+
 /// Owns the optional hub for one bench invocation. A sweep runs many
 /// simulations (often in parallel); exactly one -- the representative point
 /// the caller designates -- is observed, because the hub's instruments are

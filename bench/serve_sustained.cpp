@@ -399,13 +399,17 @@ int serve(const ServeOptions& opt) {
   return obs_rc;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   try {
     return serve(parse(argc, argv));
   } catch (const std::invalid_argument& e) {
     std::cerr << "serve_sustained: " << e.what() << "\n";
     return 2;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tmc::bench::run_main(argc, argv, run);
 }

@@ -46,7 +46,7 @@ int run_cli(int argc, char** argv) {
   obs::Options obs_options;
   fault::FaultConfig unwired_faults;
   cli::Table flags("tmc_cli", {cli::Family::kThreads, cli::Family::kObs,
-                              cli::Family::kSlo, cli::Family::kSteal});
+                              cli::Family::kSteal});
   flags
       .add({
           cli::choice("--app", app,

@@ -219,8 +219,8 @@ ServeResult run_sustained(const ServeConfig& config) {
         free_ids.pop_back();
       }
       const auto slot = static_cast<std::size_t>(id - 1);
-      sched::JobSpec spec = workload::make_arrival_job(
-          config.classes[arrival.job_class], arrival);
+      sched::JobSpec spec =
+          config.make_job(config.classes[arrival.job_class], arrival);
       spec.job_class = static_cast<int>(arrival.job_class);
       slots[slot] = std::make_unique<sched::Job>(id, std::move(spec));
       meta[slot] = {static_cast<int>(arrival.job_class), measured};

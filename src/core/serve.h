@@ -1,10 +1,9 @@
 // tmcsim -- sustained open-arrival serving (the long-lived traffic mode).
 //
-// The paper's experiments are closed 16-job batches; the A10 harness opens
-// the system but still pre-generates the whole stream and buffers every
-// sample. This loop is the production-shaped version: an ArrivalStream
-// feeds jobs one event at a time for as long as configured (millions of
-// jobs), an admission gate sheds arrivals past a bounded backlog, and all
+// The paper's experiments are closed 16-job batches; this loop opens the
+// system. An ArrivalStream feeds jobs one event at a time for as long as
+// configured (a hundred-job A10 stream or millions of serving jobs), an
+// admission gate sheds arrivals past a bounded backlog, and all
 // statistics are the O(1)-memory streaming estimators of
 // sim/streaming_stats.h, so resident memory stays flat no matter how long
 // the run. Job ids (and with them the comm system's per-job endpoint
@@ -57,6 +56,12 @@ struct ServeConfig {
   /// Invoke `checkpoint` every this many completions (0 = never).
   std::uint64_t checkpoint_every = 0;
   std::function<void(const ServeCheckpoint&)> checkpoint;
+  /// Builds the job of one admitted arrival. The default is the synthetic
+  /// fork/join job of the serving mixes; bench A10 plugs in the paper's
+  /// matmul batch jobs (workload::make_batch_job).
+  std::function<sched::JobSpec(const workload::JobClass&,
+                               const workload::Arrival&)>
+      make_job = workload::make_arrival_job;
   /// Per-class response-time targets (each must name a class in `classes`;
   /// empty = no SLO accounting). Tracked for every run regardless of
   /// instrumentation, so sweep summaries stay identical policy to policy;

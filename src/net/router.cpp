@@ -19,13 +19,11 @@ int tree_depth(int v) {
 
 }  // namespace
 
-Router::Router(const Topology& topo, Mode mode)
+Router::Router(const Topology& topo)
     : topo_(&topo),
       tile_size_(topo.tile_size()),
       rows_(topo.tile_rows()),
-      cols_(topo.tile_cols()) {
-  if (mode == Mode::kTable) table_.emplace(topo);
-}
+      cols_(topo.tile_cols()) {}
 
 int Router::tile_distance(NodeId a, NodeId b) const {
   switch (topo_->kind()) {
@@ -61,7 +59,6 @@ int Router::tile_distance(NodeId a, NodeId b) const {
 }
 
 int Router::distance(NodeId src, NodeId dst) const {
-  if (table_) return table_->distance(src, dst);
   if (src / tile_size_ != dst / tile_size_) {
     assert(false && "route crosses partition boundary");
     return -1;
@@ -109,17 +106,11 @@ Topology::Neighbor Router::next_hop_link(NodeId src, NodeId dst) const {
 
 NodeId Router::next_hop(NodeId src, NodeId dst) const {
   if (src == dst) return dst;
-  if (table_) return table_->next_hop(src, dst);
   return next_hop_link(src, dst).node;
 }
 
 void Router::link_path(NodeId src, NodeId dst, std::vector<LinkId>& out) const {
   out.clear();
-  if (table_) {
-    const auto span = table_->link_path(src, dst);
-    out.assign(span.begin(), span.end());
-    return;
-  }
   for (NodeId u = src; u != dst;) {
     const auto hop = next_hop_link(u, dst);
     out.push_back(hop.link);
@@ -134,10 +125,6 @@ std::vector<NodeId> Router::route(NodeId src, NodeId dst) const {
     path.push_back(u);
   }
   return path;
-}
-
-std::size_t Router::storage_bytes() const {
-  return table_ ? table_->storage_bytes() : 0;
 }
 
 }  // namespace tmc::net

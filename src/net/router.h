@@ -26,29 +26,20 @@
 //
 // Tiled machines (the Multicomputer's standard wiring) decompose as
 // tile-local coordinates; cross-tile pairs are unreachable, as in the BFS
-// table. The table remains available behind Mode::kTable as the reference
-// implementation and as a fallback for any future irregular wiring.
+// table. The router holds no per-pair state; RoutingTable stays the
+// reference it is checked against and the O(N^2) baseline of the scaling
+// bench's memory column.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "net/routing.h"
 #include "net/topology.h"
 
 namespace tmc::net {
 
 class Router {
  public:
-  enum class Mode {
-    kAuto,   // closed-form routing (all current topologies qualify)
-    kTable,  // force the BFS reference table (tests, memory comparisons)
-  };
-
-  explicit Router(const Topology& topo, Mode mode = Mode::kAuto);
-
-  /// True when routes are computed closed-form (no O(N^2) storage).
-  [[nodiscard]] bool algorithmic() const { return !table_.has_value(); }
+  explicit Router(const Topology& topo);
 
   /// Hop count of the shortest path (0 when src == dst). Cross-tile pairs
   /// are unreachable and return -1 (asserted against in debug builds).
@@ -72,10 +63,6 @@ class Router {
 
   [[nodiscard]] int node_count() const { return topo_->node_count(); }
 
-  /// Heap bytes of routing state: 0 when algorithmic, the table's arrays
-  /// otherwise (the scaling bench's O(N) vs O(N^2) memory report).
-  [[nodiscard]] std::size_t storage_bytes() const;
-
  private:
   [[nodiscard]] int tile_distance(NodeId a, NodeId b) const;
   /// Greedy step from `x` toward `target`: lowest-numbered closer neighbour.
@@ -88,7 +75,6 @@ class Router {
   int tile_size_;
   int rows_;
   int cols_;
-  std::optional<RoutingTable> table_;
 };
 
 }  // namespace tmc::net

@@ -11,8 +11,8 @@
 // Storage is O(N^2) entries plus O(N^2 * diameter) link paths, fine at the
 // paper's 16 nodes but prohibitive at 1024+. The simulation now routes
 // through net::Router, which reproduces this table's choices closed-form;
-// the table remains as the differential-test reference and as a fallback
-// for irregular wirings.
+// the table remains as the differential-test reference and as the O(N^2)
+// baseline of the scaling bench's memory column.
 #pragma once
 
 #include <cstdint>

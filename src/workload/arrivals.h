@@ -19,8 +19,8 @@
 //    interarrival) so refactored callers reproduce their historical
 //    streams bit for bit.
 //
-// bench A10's Poisson harness (core/open_arrivals.cpp) and the sustained
-// serving loop (core/serve.cpp) both sit on top of this.
+// The sustained serving loop (core/serve.cpp) sits on top of this; bench
+// A10's Poisson stream and bench serve_sustained both run through it.
 #pragma once
 
 #include <cstdint>

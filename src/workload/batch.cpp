@@ -35,9 +35,7 @@ BatchParams default_batch(App app, sched::SoftwareArch arch) {
   return params;
 }
 
-namespace {
-
-sched::JobSpec make_spec(const BatchParams& params, bool large) {
+sched::JobSpec make_batch_job(const BatchParams& params, bool large) {
   const std::size_t size = large ? params.large_size : params.small_size;
   if (size == 0) throw std::invalid_argument("batch job size not set");
   switch (params.app) {
@@ -62,6 +60,8 @@ sched::JobSpec make_spec(const BatchParams& params, bool large) {
   }
   throw std::invalid_argument("unknown app");
 }
+
+namespace {
 
 /// Size-class sequence for the requested order.
 std::vector<bool> class_sequence(const BatchParams& params, BatchOrder order) {
@@ -109,7 +109,7 @@ std::vector<sched::JobSpec> make_batch(const BatchParams& params,
   std::vector<sched::JobSpec> specs;
   specs.reserve(static_cast<std::size_t>(params.total()));
   for (bool large : class_sequence(params, order)) {
-    specs.push_back(make_spec(params, large));
+    specs.push_back(make_batch_job(params, large));
   }
   return specs;
 }

@@ -51,6 +51,11 @@ struct BatchParams {
 /// Paper defaults: matmul 50/100, sort 6000/14000.
 [[nodiscard]] BatchParams default_batch(App app, sched::SoftwareArch arch);
 
+/// Builds the spec of one batch job of the given size class. The open-
+/// arrival bench (A10) draws its stream's jobs from here too.
+[[nodiscard]] sched::JobSpec make_batch_job(const BatchParams& params,
+                                            bool large);
+
 /// Builds the batch's job specs in the requested submission order.
 [[nodiscard]] std::vector<sched::JobSpec> make_batch(const BatchParams& params,
                                                      BatchOrder order);

@@ -1,11 +1,12 @@
 # Exit-code check for a binary's flag handling, invoked by ctest:
 #
 #   cmake -DBIN=<binary> "-DARGS=--flag value" -DEXPECT=<code>
-#         -P run_exit_code.cmake
+#         [-DSTDERR=<regex>] -P run_exit_code.cmake
 #
-# Fails unless the binary exits with exactly EXPECT. A process killed by a
-# signal reports a string such as "Child aborted", never a number, so an
-# abort or a crash cannot pass where WILL_FAIL would have let it.
+# Fails unless the binary exits with exactly EXPECT and, when STDERR is
+# non-empty, its stderr matches that regex. A process killed by a signal
+# reports a string such as "Child aborted", never a number, so an abort or
+# a crash cannot pass where WILL_FAIL would have let it.
 foreach(var BIN EXPECT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_exit_code.cmake: -D${var}=... is required")
@@ -26,5 +27,10 @@ execute_process(
 if(NOT "${rc}" STREQUAL "${EXPECT}")
   message(FATAL_ERROR
     "${BIN} ${ARGS}: expected exit ${EXPECT}, got '${rc}'\n"
+    "stderr:\n${err}")
+endif()
+if(NOT "${STDERR}" STREQUAL "" AND NOT err MATCHES "${STDERR}")
+  message(FATAL_ERROR
+    "${BIN} ${ARGS}: stderr does not match '${STDERR}'\n"
     "stderr:\n${err}")
 endif()

@@ -5,13 +5,21 @@
 // exact determinism (same config, same result, twice), conservation
 // (offered = admitted + shed, completed = admitted, per-class sums match
 // totals), admission shedding under a tight backlog bound, checkpoint
-// monotonicity (the soak test's foundation), and warmup exclusion.
+// monotonicity (the soak test's foundation), and warmup exclusion. The
+// OpenArrivals suite serves bench A10's stream -- the paper's batch mix
+// arriving as a Poisson process, every job built by make_batch_job -- with
+// no admission bound.
 #include "core/serve.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
+
+#include "workload/batch.h"
 
 namespace tmc::core {
 namespace {
@@ -184,6 +192,142 @@ TEST(RunSustained, SloSummaryIdenticalWithAndWithoutTargets) {
   EXPECT_EQ(plain.slo.size(), 0u);
   ASSERT_EQ(tracked.slo.size(), 1u);
   EXPECT_GT(tracked.slo.classes()[0].completed, 0u);
+}
+
+workload::BatchParams tiny_matmul_mix() {
+  auto mix = workload::default_batch(workload::App::kMatMul,
+                                     sched::SoftwareArch::kAdaptive);
+  mix.small_size = 16;
+  mix.large_size = 32;
+  return mix;
+}
+
+/// Bench A10's stream at test scale: classes [large, small] weighted by the
+/// batch counts, 4 warm-up + 24 measured arrivals, every arrival admitted.
+ServeConfig batch_stream(double rate, std::uint64_t seed = 1,
+                         const workload::BatchParams& mix = tiny_matmul_mix()) {
+  ServeConfig config;
+  config.machine.topology = net::TopologyKind::kMesh;
+  config.machine.policy.kind = sched::PolicyKind::kStatic;
+  config.machine.policy.partition_size = 4;
+  config.process.rate_per_s = rate;
+  workload::JobClass large;
+  large.name = "large";
+  large.weight = mix.large_count;
+  workload::JobClass small;
+  small.name = "small";
+  small.weight = mix.small_count;
+  config.classes = {large, small};
+  config.total_jobs = 28;
+  config.warmup_jobs = 4;
+  config.max_backlog = 0;
+  config.seed = seed;
+  config.make_job = [mix](const workload::JobClass&,
+                          const workload::Arrival& arrival) {
+    return workload::make_batch_job(mix, arrival.job_class == 0);
+  };
+  return config;
+}
+
+/// Runs `config` and also reports its offered load the way bench A10 does:
+/// arrival rate x mean serial demand of the built jobs / processors.
+std::pair<ServeResult, double> run_with_offered_load(ServeConfig config) {
+  double demand_s = 0.0;
+  const auto make_job = config.make_job;
+  config.make_job = [&](const workload::JobClass& cls,
+                        const workload::Arrival& arrival) {
+    sched::JobSpec spec = make_job(cls, arrival);
+    demand_s += spec.demand_estimate.to_seconds();
+    return spec;
+  };
+  ServeResult result = run_sustained(config);
+  const double load = config.process.rate_per_s *
+                      (demand_s / static_cast<double>(result.admitted)) /
+                      config.machine.processors;
+  return {std::move(result), load};
+}
+
+TEST(OpenArrivals, MeasuresExactlyTheMeasuredWindow) {
+  const ServeResult r = run_sustained(batch_stream(10.0));
+  EXPECT_EQ(r.offered, 28u);
+  EXPECT_EQ(r.shed, 0u);
+  EXPECT_EQ(r.measured, 24u);
+  EXPECT_EQ(r.response_s.count(), 24u);
+  EXPECT_EQ(r.classes[0].measured + r.classes[1].measured, 24u);
+  EXPECT_GT(r.horizon_s, 0.0);
+}
+
+TEST(OpenArrivals, DeterministicGivenSeed) {
+  const ServeResult a = run_sustained(batch_stream(20.0, 7));
+  const ServeResult b = run_sustained(batch_stream(20.0, 7));
+  EXPECT_DOUBLE_EQ(a.response_s.mean(), b.response_s.mean());
+  EXPECT_DOUBLE_EQ(a.horizon_s, b.horizon_s);
+  EXPECT_EQ(a.machine.events, b.machine.events);
+}
+
+TEST(OpenArrivals, SeedsChangeTheStream) {
+  const ServeResult a = run_sustained(batch_stream(20.0, 1));
+  const ServeResult b = run_sustained(batch_stream(20.0, 2));
+  EXPECT_NE(a.response_s.mean(), b.response_s.mean());
+}
+
+TEST(OpenArrivals, LightLoadResponsesAreLoneJobSpans) {
+  // At a very low rate jobs rarely overlap: the system holds one job at a
+  // time and responses are the jobs' own spans.
+  const auto [r, load] = run_with_offered_load(batch_stream(0.5));
+  EXPECT_LE(r.peak_live_jobs, 2u);
+  EXPECT_LT(load, 0.05);
+}
+
+TEST(OpenArrivals, ResponseGrowsWithLoad) {
+  const ServeResult light = run_sustained(batch_stream(2.0));
+  const ServeResult heavy = run_sustained(batch_stream(200.0));
+  EXPECT_GT(heavy.response_s.mean(), light.response_s.mean());
+  EXPECT_GT(heavy.peak_live_jobs, light.peak_live_jobs);
+}
+
+TEST(OpenArrivals, OfferedLoadScalesWithRate) {
+  // Same seed, same class draws: only the arrival instants differ.
+  const double slow = run_with_offered_load(batch_stream(2.0, 3)).second;
+  const double fast = run_with_offered_load(batch_stream(4.0, 3)).second;
+  EXPECT_NEAR(fast / slow, 2.0, 1e-9);
+}
+
+TEST(OpenArrivals, WorksWithAdaptivePolicy) {
+  ServeConfig config = batch_stream(10.0);
+  config.machine.policy.kind = sched::PolicyKind::kAdaptiveStatic;
+  EXPECT_EQ(run_sustained(config).measured, 24u);
+}
+
+TEST(OpenArrivals, WorksWithSortMix) {
+  auto mix = workload::default_batch(workload::App::kSort,
+                                     sched::SoftwareArch::kFixed);
+  mix.small_size = 200;
+  mix.large_size = 400;
+  ServeConfig config = batch_stream(5.0, 1, mix);
+  config.machine.policy.kind = sched::PolicyKind::kAdaptiveStatic;
+  EXPECT_EQ(run_sustained(config).measured, 24u);
+}
+
+TEST(OpenArrivals, RejectsNonPositiveRate) {
+  EXPECT_THROW((void)run_sustained(batch_stream(0.0)), std::invalid_argument);
+}
+
+TEST(OpenArrivals, SaturationTripsWatchdog) {
+  // A10's "unstable" cell: with no admission bound, a stream whose work
+  // outlasts the watchdog throws. run_sustained raises the watchdog to
+  // 4x the expected arrival horizon + 600 s, so slow multiply-adds give
+  // the 28 jobs ~30000 s of serial work, ~1900 s on all 16 processors.
+  auto mix = tiny_matmul_mix();
+  mix.costs.t_madd = sim::SimTime::milliseconds(100);
+  try {
+    (void)run_sustained(batch_stream(10'000.0, 1, mix));
+    FAIL() << "the stream drained before the watchdog";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("watchdog expired"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

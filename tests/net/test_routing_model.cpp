@@ -6,7 +6,6 @@
 // route. This suite exhaustively compares the two implementations on every
 // topology kind at every size 1..64 (powers of two only for the hypercube),
 // and on tiled machines across every within-partition pair.
-#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -27,8 +26,6 @@ namespace {
 void expect_identical_routes(const Topology& topo) {
   const RoutingTable table(topo);
   const Router router(topo);
-  ASSERT_TRUE(router.algorithmic());
-  EXPECT_EQ(router.storage_bytes(), 0u);
 
   const int tile = topo.tile_size();
   std::vector<LinkId> path;
@@ -111,27 +108,6 @@ TEST(RoutingModel, TorusCrossDimensionTieMatchesBfs) {
   EXPECT_EQ(router.next_hop(0, 41), 56);
 }
 
-// The BFS table stays available behind Mode::kTable and must agree with
-// itself through the Router facade (fallback path for irregular wirings).
-TEST(RoutingModel, TableModeDelegatesToBfs) {
-  const auto topo = Topology::mesh(12);
-  const RoutingTable table(topo);
-  const Router router(topo, Router::Mode::kTable);
-  EXPECT_FALSE(router.algorithmic());
-  EXPECT_EQ(router.storage_bytes(), table.storage_bytes());
-  EXPECT_GT(router.storage_bytes(), 0u);
-  std::vector<LinkId> path;
-  for (NodeId src = 0; src < topo.node_count(); ++src) {
-    for (NodeId dst = 0; dst < topo.node_count(); ++dst) {
-      EXPECT_EQ(router.distance(src, dst), table.distance(src, dst));
-      EXPECT_EQ(router.next_hop(src, dst), table.next_hop(src, dst));
-      router.link_path(src, dst, path);
-      const auto ref = table.link_path(src, dst);
-      EXPECT_TRUE(std::equal(path.begin(), path.end(), ref.begin(), ref.end()));
-    }
-  }
-}
-
 // next_hop_link is the store-and-forward fast path: the hop it returns must
 // be the same node next_hop reports, over the directed link the topology
 // records for that edge.
@@ -151,15 +127,13 @@ TEST(RoutingModel, NextHopLinkAgreesWithNextHopAndTopology) {
   }
 }
 
-// Routing memory is the scaling story: O(N^2)+ for the table, zero for the
-// closed form.
+// Routing memory is the scaling story: O(N^2)+ for the table, a topology
+// pointer and the tile dimensions for the closed form at any size.
 TEST(RoutingModel, AlgorithmicRoutingHoldsNoPerPairState) {
+  EXPECT_LE(sizeof(Router), 4 * sizeof(void*));
   const auto topo = Topology::mesh(256);
-  const Router algo(topo);
-  const Router table(topo, Router::Mode::kTable);
-  EXPECT_EQ(algo.storage_bytes(), 0u);
   // 256^2 pairs x (next-hop + distance) alone is > 512 KB.
-  EXPECT_GT(table.storage_bytes(), 512u * 1024u);
+  EXPECT_GT(RoutingTable(topo).storage_bytes(), 512u * 1024u);
 }
 
 }  // namespace

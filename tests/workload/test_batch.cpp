@@ -101,5 +101,61 @@ TEST(Batch, BuildersProduceRunnablePrograms) {
   EXPECT_EQ(programs.size(), 16u);
 }
 
+/// Spec fields plus every built program's shape: two specs that agree here
+/// run identically.
+void expect_same_job(const sched::JobSpec& a, const sched::JobSpec& b) {
+  EXPECT_EQ(a.app, b.app);
+  EXPECT_EQ(a.problem_size, b.problem_size);
+  EXPECT_EQ(a.large, b.large);
+  EXPECT_EQ(a.arch, b.arch);
+  EXPECT_EQ(a.demand_estimate, b.demand_estimate);
+  sched::Job job_a(1, a);
+  sched::Job job_b(1, b);
+  const auto programs_a = a.builder(job_a, 8);
+  const auto programs_b = b.builder(job_b, 8);
+  ASSERT_EQ(programs_a.size(), programs_b.size());
+  for (std::size_t i = 0; i < programs_a.size(); ++i) {
+    EXPECT_EQ(programs_a[i].size(), programs_b[i].size()) << "process " << i;
+    EXPECT_EQ(programs_a[i].total_compute(), programs_b[i].total_compute())
+        << "process " << i;
+    EXPECT_EQ(programs_a[i].total_send_bytes(),
+              programs_b[i].total_send_bytes())
+        << "process " << i;
+  }
+}
+
+// make_batch is make_batch_job in a size-class order, so an open stream
+// built from make_batch_job runs the batch's exact jobs -- sort skew
+// included.
+TEST(Batch, MakeBatchIsMakeBatchJobInOrder) {
+  auto skewed = default_batch(App::kSort, sched::SoftwareArch::kFixed);
+  skewed.sort_skew = 0.3;
+  for (const auto& params :
+       {default_batch(App::kMatMul, sched::SoftwareArch::kFixed),
+        default_batch(App::kSort, sched::SoftwareArch::kAdaptive), skewed}) {
+    for (const auto order :
+         {BatchOrder::kInterleaved, BatchOrder::kSmallestFirst,
+          BatchOrder::kLargestFirst}) {
+      const auto specs = make_batch(params, order);
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(std::string(to_string(order)) + " position " +
+                     std::to_string(i));
+        expect_same_job(specs[i], make_batch_job(params, specs[i].large));
+      }
+    }
+  }
+  // The skew reaches the programs: a skewed large job is not the balanced
+  // one.
+  auto balanced = skewed;
+  balanced.sort_skew = 0.0;
+  sched::Job job_skewed(1, make_batch_job(skewed, true));
+  sched::Job job_balanced(1, make_batch_job(balanced, true));
+  const auto programs_skewed = job_skewed.spec().builder(job_skewed, 8);
+  const auto programs_balanced = job_balanced.spec().builder(job_balanced, 8);
+  ASSERT_EQ(programs_skewed.size(), programs_balanced.size());
+  EXPECT_NE(programs_skewed[0].total_compute(),
+            programs_balanced[0].total_compute());
+}
+
 }  // namespace
 }  // namespace tmc::workload
