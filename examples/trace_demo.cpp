@@ -1,14 +1,11 @@
-// Observability demo: watch the machine run two small jobs three ways.
+// Observability demo: watch the machine run two small jobs two ways.
 //
-// 1. Legacy line trace -- CPU dispatches, process exits, network sends and
-//    parking, memory blocking -- printed to stdout, handy when debugging
-//    policies or workloads.
-// 2. Metrics registry -- every instrument family (kernel self-profile,
+// 1. Metrics registry -- every instrument family (kernel self-profile,
 //    per-node CPU/memory, links, partitions, comm) dumped as JSON.
-// 3. Timeline -- per-node CPU spans, sampled queue depths, and the same
-//    trace lines as instant annotations, exported as Chrome trace_event
-//    JSON. Open trace_demo_timeline.json in Perfetto (ui.perfetto.dev) or
-//    chrome://tracing to browse the run visually.
+// 2. Timeline -- per-node CPU spans, process exits, memory blocking,
+//    message sends and parks, and sampled queue depths, exported as Chrome
+//    trace_event JSON. Open trace_demo_timeline.json in Perfetto
+//    (ui.perfetto.dev) or chrome://tracing to browse the run visually.
 
 #include <iostream>
 
@@ -34,14 +31,6 @@ int main() {
   cfg.obs = &hub;
   core::Multicomputer machine(cfg);
 
-  int lines = 0;
-  machine.enable_tracing(
-      static_cast<unsigned>(sim::TraceCategory::kAll),
-      [&lines](std::string_view line) {
-        if (lines < 60) std::cout << line << "\n";
-        if (++lines == 60) std::cout << "... (trace truncated)\n";
-      });
-
   workload::MatMulParams mm;
   mm.n = 24;
   mm.arch = sched::SoftwareArch::kAdaptive;
@@ -51,9 +40,10 @@ int main() {
   machine.submit(b);
   machine.run_to_completion();
 
-  std::cout << "\njob 1 response: " << a.response_time().to_seconds()
+  std::cout << "job 1 response: " << a.response_time().to_seconds()
             << " s, job 2 response: " << b.response_time().to_seconds()
-            << " s, " << lines << " trace events\n";
+            << " s, " << hub.timeline()->records().size()
+            << " timeline records\n";
 
   // A few headline numbers straight from the registry, then the full dumps.
   for (const auto& view : hub.registry().snapshot()) {

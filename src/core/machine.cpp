@@ -317,6 +317,7 @@ void Multicomputer::wire_observability() {
         names->add_track(obs::TrackKind::kNode, "node" + std::to_string(i));
     if (i == 0) node_track_base = track;
     cpu->set_timeline(tl, track);
+    mmu->set_timeline(tl, track);
     sampler.add_channel(
         [cpu] { return static_cast<double>(cpu->ready_count()); }, track,
         n_ready);
@@ -362,8 +363,6 @@ void Multicomputer::wire_observability() {
       },
       machine_track, n_mailbox);
 
-  trace_track_ = names->add_track(obs::TrackKind::kGlobal, "trace");
-
   if (fault_mgr_ != nullptr) {
     const obs::TrackId fault_track =
         names->add_track(obs::TrackKind::kGlobal, "faults");
@@ -392,36 +391,6 @@ void Multicomputer::submit(sched::Job& job) {
     steal_engine_->adopt(job);
   }
   scheduler_->submit(job);
-}
-
-void Multicomputer::enable_tracing(unsigned mask, sim::Tracer::Sink sink) {
-  tracer_.enable(mask, std::move(sink));
-  // With a timeline attached, the same trace lines also land as annotation
-  // instants on the "trace" track, so Perfetto shows them in context.
-  if (cfg_.obs != nullptr && cfg_.obs->timeline() != nullptr) {
-    obs::Timeline* tl = cfg_.obs->timeline();
-    tracer_.enable_structured(
-        mask, [tl, track = trace_track_](sim::SimTime now,
-                                         sim::TraceCategory cat,
-                                         std::string_view component,
-                                         std::string_view message) {
-          std::string text;
-          text.reserve(component.size() + message.size() + 16);
-          text += '[';
-          text += sim::trace_category_name(cat);
-          text += "] ";
-          text += component;
-          text += ": ";
-          text += message;
-          tl->annotate(track, now, std::move(text));
-        });
-  }
-  network_->set_tracer(&tracer_);
-  for (int i = 0; i < cfg_.processors; ++i) {
-    cpus_[static_cast<std::size_t>(i)].set_tracer(&tracer_);
-    mmus_[static_cast<std::size_t>(i)].set_tracer(&tracer_,
-                                                  "mmu" + std::to_string(i));
-  }
 }
 
 Multicomputer::~Multicomputer() {

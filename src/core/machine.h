@@ -27,7 +27,6 @@
 #include "sched/stealing/engine.h"
 #include "sched/super_scheduler.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
 
 namespace tmc::obs {
 class Hub;
@@ -155,11 +154,6 @@ class Multicomputer {
     return steal_engine_.get();
   }
 
-  /// Routes component traces (CPU dispatches, process exits, network sends
-  /// and parks, memory blocking) matching `mask` to `sink`.
-  void enable_tracing(unsigned mask, sim::Tracer::Sink sink);
-  void disable_tracing() { tracer_.disable(); }
-
   /// Runs the event loop until quiescent; throws if jobs remain unfinished
   /// (deadlock in the modelled system). Returns events fired.
   std::uint64_t run_to_completion();
@@ -171,7 +165,6 @@ class Multicomputer {
 
   MachineConfig cfg_;
   sim::Simulation sim_;
-  sim::Tracer tracer_;
   net::Topology topo_;
   /// Per-node components, placement-constructed back to back (Mmu and
   /// Transputer are non-movable; see core/node_array.h).
@@ -189,9 +182,6 @@ class Multicomputer {
   /// Per-job lifecycle tracer, created only when a timeline is recording
   /// (see wire_observability); the schedulers hold a pointer to it.
   std::unique_ptr<obs::JobTracer> job_tracer_;
-  /// Timeline track receiving legacy trace lines as annotations (valid only
-  /// while cfg_.obs has a timeline; see enable_tracing).
-  std::uint32_t trace_track_ = 0;
 };
 
 }  // namespace tmc::core

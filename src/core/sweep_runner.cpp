@@ -70,10 +70,10 @@ void SweepRunner::run_indexed(std::size_t count,
     for (std::size_t i = 0; i < count; ++i) {
       queue_.push_back([&body, &state, i] {
         body(i);
-        {
-          const std::lock_guard<std::mutex> batch_lock(state.mutex);
-          ++state.done;
-        }
+        // Notify under the lock: once the caller sees done == count it
+        // returns and destroys `state`, so the signal must not outlive it.
+        const std::lock_guard<std::mutex> batch_lock(state.mutex);
+        ++state.done;
         state.done_cv.notify_one();
       });
     }

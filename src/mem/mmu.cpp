@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -130,6 +131,12 @@ void Mmu::deliver(std::size_t offset, std::size_t bytes, Grant on_grant,
   }
 }
 
+void Mmu::set_timeline(obs::Timeline* timeline, obs::TrackId track) {
+  timeline_ = timeline;
+  track_ = track;
+  if (timeline_ != nullptr) name_blocked_ = timeline_->intern("mem-blocked");
+}
+
 void Mmu::request(std::size_t bytes, Grant on_grant, const void* owner) {
   if (bytes == 0 || bytes > capacity_) {
     throw std::invalid_argument("Mmu request of " + std::to_string(bytes) +
@@ -147,10 +154,9 @@ void Mmu::request(std::size_t bytes, Grant on_grant, const void* owner) {
   }
   ++blocked_count_;
   obs::bump(alloc_waits_);
-  if (tracer_ != nullptr) {
-    TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kMemory, label_,
-              "blocked request " << bytes << "B (free " << bytes_free()
-                                 << "B, queued " << queue_.size() + 1 << ")");
+  if (timeline_ != nullptr) {
+    timeline_->instant(track_, name_blocked_, sim_.now(),
+                       static_cast<double>(bytes));
   }
   queue_.push_back(Pending{bytes, std::move(on_grant), sim_.now(), owner});
 }

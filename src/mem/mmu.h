@@ -15,13 +15,12 @@
 #include <deque>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
+#include "obs/timeline.h"
 #include "sim/simulation.h"
 #include "sim/stats.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 #include "sim/unique_function.h"
 
 namespace tmc::obs {
@@ -128,12 +127,9 @@ class Mmu {
   /// Returns the number retracted. No-op for a null owner.
   std::size_t cancel_owner(const void* owner);
 
-  /// Optional trace sink (category kMemory); owner must outlive us.
-  /// `label` names this node in trace lines.
-  void set_tracer(const sim::Tracer* tracer, std::string label) {
-    tracer_ = tracer;
-    label_ = std::move(label);
-  }
+  /// Optional timeline recorder (null = off): every request that blocks
+  /// becomes a "mem-blocked" instant on `track` (value = bytes requested).
+  void set_timeline(obs::Timeline* timeline, obs::TrackId track);
 
   /// Optional metric handles (null = off): `alloc_waits` counts requests
   /// that blocked; `grant_latency` observes each blocked request's queueing
@@ -209,8 +205,9 @@ class Mmu {
   std::size_t capacity_;
   sim::SimTime service_time_;
   MmuDiscipline discipline_;
-  const sim::Tracer* tracer_ = nullptr;
-  std::string label_;
+  obs::Timeline* timeline_ = nullptr;
+  obs::TrackId track_ = 0;
+  obs::NameId name_blocked_ = 0;
   obs::Counter* alloc_waits_ = nullptr;
   obs::Distribution* grant_latency_ = nullptr;
   std::vector<FreeRange> free_;  // sorted by offset, coalesced

@@ -46,12 +46,6 @@ void StoreForwardNetwork::send(Message msg, mem::Block payload) {
   if (drop_at_injection(msg)) return;
   ++messages_;
   payload_bytes_ += msg.bytes;
-  if (tracer_ != nullptr) {
-    TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kNetwork, "net",
-              "send m" << msg.id << " " << msg.src_node << "->"
-                       << msg.dst_node << " " << msg.bytes << "B tag "
-                       << msg.tag);
-  }
   const std::size_t pkt = params_.packet_bytes;
   if (msg.src_node == msg.dst_node || pkt == 0 || msg.bytes <= pkt) {
     forward(msg, msg.src_node, std::move(payload), msg.bytes, nullptr);
@@ -99,11 +93,6 @@ void StoreForwardNetwork::forward(Message msg, NodeId at, mem::Block held,
   if (!may_progress(msg)) {
     // The owning job is descheduled: its daemons are not running, so the
     // message waits here, pinning its buffer at this node, until kick().
-    if (tracer_ != nullptr) {
-      TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kNetwork, "net",
-                "park m" << msg.id << " at node " << at << " (job "
-                         << msg.job << " descheduled)");
-    }
     record_park(sim_.now(), msg);
     parked_.push_back(Parked{msg, at, std::move(held), fragment_bytes,
                              std::move(source_hold)});

@@ -31,7 +31,6 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/simulation.h"
-#include "sim/trace.h"
 
 namespace tmc::net {
 
@@ -95,9 +94,6 @@ class Network {
   }
   void set_hop_hook(HopHook hook) { hop_hook_ = std::move(hook); }
   void set_progress_gate(ProgressGate gate) { gate_ = std::move(gate); }
-  /// Optional trace sink (category kNetwork); owner must outlive us.
-  void set_tracer(const sim::Tracer* tracer) { tracer_ = tracer; }
-
   /// Optional timeline recorder (null = off): every link occupancy becomes
   /// a span on track `link_track_base + link_id`; message parks (gang gate
   /// closed) become instants on `net_track`.
@@ -183,7 +179,6 @@ class Network {
   DeliveryHandler deliver_;
   HopHook hop_hook_;
   ProgressGate gate_;
-  const sim::Tracer* tracer_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   obs::TrackId link_base_ = 0;
   obs::TrackId net_track_ = 0;

@@ -32,6 +32,7 @@ void Transputer::set_timeline(obs::Timeline* timeline, obs::TrackId track) {
   name_high_ = timeline_->intern("high-pri");
   name_daemon_ = timeline_->intern("daemon");
   name_quantum_ = timeline_->intern("quantum-expiry");
+  name_exit_ = timeline_->intern("exit");
 }
 
 void Transputer::record_charge(ChargeKind kind, sim::SimTime start,
@@ -237,13 +238,6 @@ void Transputer::dispatch() {
     low_queue_.pop_front();
     current_->state_ = ProcessState::kRunning;
     ++current_->dispatches_;
-    if (tracer_ != nullptr) {
-      TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kCpu,
-                "cpu" + std::to_string(node_),
-                "dispatch p" << current_->id() << " quantum "
-                             << current_->quantum().to_milliseconds()
-                             << "ms ready=" << low_queue_.size());
-    }
     quantum_left_ = current_->quantum();
     if (last_ran_ != current_) {
       last_ran_ = current_;
@@ -365,11 +359,9 @@ void Transputer::continue_low() {
   }
 
   assert(std::holds_alternative<ExitOp>(op));
-  if (tracer_ != nullptr) {
-    TMC_TRACE(*tracer_, sim_.now(), sim::TraceCategory::kProcess,
-              "cpu" + std::to_string(node_),
-              "exit p" << p.id() << " cpu_time "
-                       << p.cpu_time().to_milliseconds() << "ms");
+  if (timeline_ != nullptr) {
+    timeline_->instant(track_, name_exit_, sim_.now(),
+                       static_cast<double>(p.id()));
   }
   p.state_ = ProcessState::kDone;
   p.held_.clear();  // releases job data; may unblock queued MMU requests

@@ -30,7 +30,6 @@
 #include "sim/ring_queue.h"
 #include "sim/simulation.h"
 #include "sim/stats.h"
-#include "sim/trace.h"
 #include "sim/unique_function.h"
 
 namespace tmc::node {
@@ -66,12 +65,10 @@ class Transputer {
     send_dispatcher_ = std::move(dispatcher);
   }
 
-  /// Optional trace sink (category kCpu / kProcess); owner must outlive us.
-  void set_tracer(const sim::Tracer* tracer) { tracer_ = tracer; }
-
   /// Optional timeline recorder (null = off): every completed or interrupted
   /// CPU charge becomes a span on `track` (compute spans carry the process
-  /// id as their value), and quantum expirations become instants.
+  /// id as their value); quantum expirations and process exits (value =
+  /// pid) become instants.
   void set_timeline(obs::Timeline* timeline, obs::TrackId track);
 
   [[nodiscard]] net::NodeId node() const { return node_; }
@@ -203,7 +200,6 @@ class Transputer {
   mem::Mmu& mmu_;
   Params params_;
   SendDispatcher send_dispatcher_;
-  const sim::Tracer* tracer_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   obs::TrackId track_ = 0;
   // Pre-interned span/instant names (set_timeline), so recording never
@@ -213,6 +209,7 @@ class Transputer {
   obs::NameId name_high_ = 0;
   obs::NameId name_daemon_ = 0;
   obs::NameId name_quantum_ = 0;
+  obs::NameId name_exit_ = 0;
 
   // Ring-buffer FIFOs: these queues churn on every dispatch, and a deque
   // would pay a block allocation every few dozen pushes forever.

@@ -186,23 +186,13 @@ void ChromeTraceWriter::write_records(
   }
 }
 
-void ChromeTraceWriter::end(const Timeline& timeline) {
-  const auto& tracks = timeline.tracks();
-  for (const Timeline::Annotation& a : timeline.annotations()) {
-    const KindInfo info = kind_info(tracks[a.track].kind);
-    sep();
-    os_ << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << info.pid
-        << ",\"tid\":" << a.track + 1 << ",\"ts\":" << trace_ts(a.at_ns)
-        << ",\"name\":\"" << json_escape(a.text) << "\"}";
-  }
-  os_ << "],\"displayTimeUnit\":\"ms\"}\n";
-}
+void ChromeTraceWriter::end() { os_ << "],\"displayTimeUnit\":\"ms\"}\n"; }
 
 void write_chrome_trace(const Timeline& timeline, std::ostream& os) {
   ChromeTraceWriter writer(os);
   writer.begin(timeline);
   writer.write_records(timeline, timeline.records());
-  writer.end(timeline);
+  writer.end();
 }
 
 void MetricsStreamWriter::begin(const std::vector<std::string>& channels) {

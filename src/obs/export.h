@@ -30,9 +30,9 @@ namespace tmc::obs {
 
 /// Incremental Chrome trace_event JSON writer: begin() emits the preamble
 /// (process/thread metadata for every track registered so far), then any
-/// number of write_records() batches, then end() appends the annotations
-/// and closes the document. Every track must be registered before begin()
-/// -- true for the machine, which wires observability before running.
+/// number of write_records() batches, then end() closes the document. Every
+/// track must be registered before begin() -- true for the machine, which
+/// wires observability before running.
 class ChromeTraceWriter {
  public:
   explicit ChromeTraceWriter(std::ostream& os) : os_(os) {}
@@ -40,7 +40,7 @@ class ChromeTraceWriter {
   void begin(const Timeline& timeline);
   void write_records(const Timeline& timeline,
                      const std::vector<TimelineRecord>& records);
-  void end(const Timeline& timeline);
+  void end();
 
  private:
   void sep();

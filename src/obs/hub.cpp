@@ -124,14 +124,14 @@ bool Hub::write_outputs(std::ostream& diag) {
   if (!options_.timeline_path.empty()) {
     if (options_.timeline_chunk > 0) {
       // Chunked mode: most records were already drained during the run;
-      // write the tail, then the annotations and the closing bracket.
+      // write the tail, then the closing bracket.
       if (!ensure_timeline_writer()) {
         diag << "obs: cannot open timeline path " << options_.timeline_path
              << "\n";
         ok = false;
       } else {
         timeline_writer_->write_records(timeline_, timeline_.records());
-        timeline_writer_->end(timeline_);
+        timeline_writer_->end();
         timeline_stream_out_.flush();
         if (!timeline_stream_out_) {
           diag << "obs: error writing timeline path " << options_.timeline_path

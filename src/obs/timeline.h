@@ -1,7 +1,7 @@
 // tmcsim -- binary timeline recorder.
 //
-// Upgrades the line-based sim::Tracer into fixed-size binary records that
-// exporters can turn into Chrome trace_event JSON (Perfetto-loadable).
+// The simulator's event record: fixed-size binary records that exporters
+// can turn into Chrome trace_event JSON (Perfetto-loadable).
 // Components record against pre-registered tracks (one per node, link, and
 // partition) using interned name ids, so a record is a 32-byte append with
 // no formatting or allocation beyond vector growth.
@@ -116,9 +116,7 @@ class Timeline {
   /// Arms chunked draining: whenever at least `chunk_records` records have
   /// accumulated, `flush` is invoked with the batch and the buffer is
   /// cleared. Records are appended in event order, so draining preserves
-  /// the exact sequence the buffered path would have written. Annotations
-  /// are not drained -- they are per-run prose, bounded, and the trace
-  /// format wants them after the records anyway.
+  /// the exact sequence the buffered path would have written.
   using FlushFn = std::function<void(const std::vector<TimelineRecord>&)>;
   void set_flush(FlushFn flush, std::size_t chunk_records) {
     flush_ = std::move(flush);
@@ -130,25 +128,10 @@ class Timeline {
     return flushed_records_;
   }
 
-  /// Freeform text instant: legacy trace lines routed through the recorder.
-  /// Stored out of band because the text is per-event prose -- interning it
-  /// would grow the name table without bound.
-  struct Annotation {
-    std::int64_t at_ns = 0;
-    TrackId track = 0;
-    std::string text;
-  };
-  void annotate(TrackId track, sim::SimTime at, std::string text) {
-    annotations_.push_back(Annotation{at.ns(), track, std::move(text)});
-  }
-
   [[nodiscard]] const std::vector<Track>& tracks() const { return tracks_; }
   [[nodiscard]] std::string_view name(NameId id) const { return names_[id]; }
   [[nodiscard]] const std::vector<TimelineRecord>& records() const {
     return records_;
-  }
-  [[nodiscard]] const std::vector<Annotation>& annotations() const {
-    return annotations_;
   }
 
  private:
@@ -164,7 +147,6 @@ class Timeline {
   std::vector<std::string> names_;
   std::unordered_map<std::string, NameId> name_ids_;
   std::vector<TimelineRecord> records_;
-  std::vector<Annotation> annotations_;
   FlushFn flush_;
   std::size_t chunk_records_ = 0;
   std::uint64_t flushed_records_ = 0;

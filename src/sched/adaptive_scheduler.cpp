@@ -11,22 +11,12 @@ AdaptiveScheduler::AdaptiveScheduler(sim::Simulation& sim,
                                      node::CommSystem& comm,
                                      PolicyConfig policy,
                                      PartitionSchedParams params)
-    : sim_(sim),
+    : Scheduler(sim),
       cpus_(std::move(cpus)),
       comm_(comm),
       policy_(policy),
       params_(params),
       buddy_(static_cast<int>(cpus_.size())) {}
-
-void AdaptiveScheduler::submit(Job& job) {
-  job.mark_arrival(sim_.now());
-  if (job_tracer_ != nullptr) {
-    job_tracer_->arrival(job.id(), job.spec().job_class, sim_.now());
-  }
-  ++submitted_;
-  queue_.push_back(&job);
-  pump();
-}
 
 int AdaptiveScheduler::target_size() const {
   const int in_system =
@@ -86,13 +76,11 @@ void AdaptiveScheduler::on_job_complete(Job& job) {
   retired_.clear();
   retired_.push_back(std::move(it->second.scheduler));
   running_.erase(it);
-  ++completed_;
-  if (observer_) observer_(job);
-  pump();
+  finish(job);
 }
 
 void AdaptiveScheduler::enable_fault_mode(int restart_budget) {
-  restart_budget_ = restart_budget;
+  Scheduler::enable_fault_mode(restart_budget);
   dead_nodes_.assign(cpus_.size(), 0);
 }
 
@@ -111,22 +99,6 @@ void AdaptiveScheduler::release_block(const ProcessorBlock& block) {
   } else {
     quarantined_.push_back(block);
   }
-}
-
-void AdaptiveScheduler::handle_aborted(Job& job) {
-  if (job.restarts() < restart_budget_) {
-    job.count_restart();
-    ++job_restarts_;
-    // Restart ahead of new arrivals: the job already waited its turn once.
-    queue_.push_front(&job);
-    return;
-  }
-  ++jobs_failed_;
-  job.mark_failed();
-  job.mark_completion(sim_.now());
-  if (job_tracer_ != nullptr) job_tracer_->completion(job.id(), sim_.now());
-  ++completed_;
-  if (observer_) observer_(job);
 }
 
 void AdaptiveScheduler::abort_running(JobId id) {

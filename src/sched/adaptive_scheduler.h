@@ -11,7 +11,6 @@
 // completion (no repartitioning of running jobs).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -32,13 +31,6 @@ class AdaptiveScheduler final : public Scheduler {
   AdaptiveScheduler(sim::Simulation& sim, std::vector<node::Transputer*> cpus,
                     node::CommSystem& comm, PolicyConfig policy,
                     PartitionSchedParams params = {});
-
-  void submit(Job& job) override;
-  [[nodiscard]] std::size_t queued_jobs() const override {
-    return queue_.size();
-  }
-  [[nodiscard]] std::uint64_t submitted() const override { return submitted_; }
-  [[nodiscard]] std::uint64_t completed() const override { return completed_; }
 
   [[nodiscard]] const BuddyAllocator& buddy() const { return buddy_; }
   [[nodiscard]] int running_jobs() const {
@@ -66,7 +58,7 @@ class AdaptiveScheduler final : public Scheduler {
 
   /// Equipartition target for the next dispatch.
   [[nodiscard]] int target_size() const;
-  void pump();
+  void pump() override;
   void on_job_complete(Job& job);
   [[nodiscard]] bool block_usable(const ProcessorBlock& block) const;
   /// Frees `block` to the buddy pool, or quarantines it while it spans a
@@ -75,26 +67,19 @@ class AdaptiveScheduler final : public Scheduler {
   /// Aborts the running job `id` (no-op if its completion is already in
   /// flight) and requeues or fails it.
   void abort_running(JobId id);
-  /// Requeues (under budget) or permanently fails a fault-aborted job.
-  void handle_aborted(Job& job);
 
-  sim::Simulation& sim_;
   std::vector<node::Transputer*> cpus_;
   node::CommSystem& comm_;
   PolicyConfig policy_;
   PartitionSchedParams params_;
   BuddyAllocator buddy_;
 
-  std::deque<Job*> queue_;
   std::unordered_map<JobId, Running> running_;
   /// Completed jobs' partition schedulers; destroying one inside its own
   /// completion callback would be use-after-free, so they retire here.
   std::vector<std::unique_ptr<PartitionScheduler>> retired_;
   int partition_seq_ = 0;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
   sim::OnlineStats alloc_sizes_;
-  int restart_budget_ = 0;
   /// Per-node dead flags (empty = fault mode off) and the live dead count.
   std::vector<char> dead_nodes_;
   int dead_count_ = 0;

@@ -3,13 +3,17 @@
 // The experiment harness talks to the system scheduler through this
 // interface; SuperScheduler implements the paper's three policies over
 // fixed equal partitions, AdaptiveScheduler the buddy-allocated adaptive
-// space-sharing extension.
+// space-sharing extension. The base owns the job lifecycle both share --
+// the FCFS queue, submission, completion and fault restarts -- so each
+// subclass supplies only its placement (pump) and its fault topology.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 
 #include "sched/job.h"
+#include "sim/simulation.h"
 
 namespace tmc::obs {
 class JobTracer;
@@ -21,12 +25,13 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
 
-  /// Submits a job (arrival instant = now); dispatch follows the policy.
-  virtual void submit(Job& job) = 0;
+  /// Submits a job (arrival instant = now): it joins the FCFS queue and is
+  /// dispatched as the placement allows.
+  void submit(Job& job);
 
-  [[nodiscard]] virtual std::size_t queued_jobs() const = 0;
-  [[nodiscard]] virtual std::uint64_t submitted() const = 0;
-  [[nodiscard]] virtual std::uint64_t completed() const = 0;
+  [[nodiscard]] std::size_t queued_jobs() const { return queue_.size(); }
+  [[nodiscard]] std::uint64_t submitted() const { return submitted_; }
+  [[nodiscard]] std::uint64_t completed() const { return completed_; }
 
   [[nodiscard]] bool all_done() const {
     return queued_jobs() == 0 && completed() == submitted();
@@ -50,7 +55,10 @@ class Scheduler {
   /// Arms failure-aware scheduling: a job torn down by a failure is
   /// restarted from its queue up to `restart_budget` times before being
   /// declared failed (failed jobs still count as completed for all_done).
-  virtual void enable_fault_mode(int restart_budget) { (void)restart_budget; }
+  /// Overrides add their fault topology and call this first.
+  virtual void enable_fault_mode(int restart_budget) {
+    restart_budget_ = restart_budget;
+  }
   /// A heartbeat round detected `node` as newly dead / newly repaired.
   virtual void on_node_down(net::NodeId node) { (void)node; }
   virtual void on_node_up(net::NodeId node) { (void)node; }
@@ -63,8 +71,23 @@ class Scheduler {
   [[nodiscard]] std::uint64_t job_restarts() const { return job_restarts_; }
 
  protected:
+  explicit Scheduler(sim::Simulation& sim) : sim_(sim) {}
+
+  /// Dispatches queued jobs (front first) while the placement has room.
+  virtual void pump() = 0;
+  /// Counts a finished job, tells the observer, and pumps the queue.
+  void finish(Job& job);
+  /// Requeues a fault-aborted job ahead of new arrivals while its restart
+  /// budget lasts; otherwise fails it (a failed job counts as completed).
+  void handle_aborted(Job& job);
+
+  sim::Simulation& sim_;
+  std::deque<Job*> queue_;
   std::function<void(Job&)> observer_;
   obs::JobTracer* job_tracer_ = nullptr;
+  std::uint64_t submitted_ = 0;
+  std::uint64_t completed_ = 0;
+  int restart_budget_ = 0;
   std::uint64_t jobs_failed_ = 0;
   std::uint64_t job_restarts_ = 0;
 };

@@ -9,22 +9,12 @@ namespace tmc::sched {
 SuperScheduler::SuperScheduler(sim::Simulation& sim,
                                std::vector<PartitionScheduler*> partitions,
                                PolicyConfig policy)
-    : sim_(sim), partitions_(std::move(partitions)), policy_(policy) {
+    : Scheduler(sim), partitions_(std::move(partitions)), policy_(policy) {
   assert(!partitions_.empty());
   for (PartitionScheduler* ps : partitions_) {
     ps->set_completion_handler(
-        [this](PartitionScheduler&, Job& job) { on_job_complete(job); });
+        [this](PartitionScheduler&, Job& job) { finish(job); });
   }
-}
-
-void SuperScheduler::submit(Job& job) {
-  job.mark_arrival(sim_.now());
-  if (job_tracer_ != nullptr) {
-    job_tracer_->arrival(job.id(), job.spec().job_class, sim_.now());
-  }
-  ++submitted_;
-  queue_.push_back(&job);
-  pump();
 }
 
 void SuperScheduler::set_job_tracer(obs::JobTracer* tracer) {
@@ -60,7 +50,7 @@ PartitionScheduler* SuperScheduler::pick_partition() const {
 }
 
 void SuperScheduler::enable_fault_mode(int restart_budget) {
-  restart_budget_ = restart_budget;
+  Scheduler::enable_fault_mode(restart_budget);
   dead_nodes_.assign(partitions_.size(), 0);
   net::NodeId max_node = -1;
   for (const PartitionScheduler* ps : partitions_) {
@@ -80,22 +70,6 @@ int SuperScheduler::partition_of(net::NodeId node) const {
   const auto idx = static_cast<std::size_t>(node);
   if (node < 0 || idx >= node_partition_.size()) return -1;
   return node_partition_[idx];
-}
-
-void SuperScheduler::handle_aborted(Job& job) {
-  if (job.restarts() < restart_budget_) {
-    job.count_restart();
-    ++job_restarts_;
-    // Restart ahead of new arrivals: the job already waited its turn once.
-    queue_.push_front(&job);
-    return;
-  }
-  ++jobs_failed_;
-  job.mark_failed();
-  job.mark_completion(sim_.now());
-  if (job_tracer_ != nullptr) job_tracer_->completion(job.id(), sim_.now());
-  ++completed_;
-  if (observer_) observer_(job);
 }
 
 void SuperScheduler::on_node_down(net::NodeId node) {
@@ -140,12 +114,6 @@ void SuperScheduler::pump() {
     queue_.pop_front();
     target->admit(*job);
   }
-}
-
-void SuperScheduler::on_job_complete(Job& job) {
-  ++completed_;
-  if (observer_) observer_(job);
-  pump();
 }
 
 }  // namespace tmc::sched

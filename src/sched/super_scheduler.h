@@ -7,9 +7,6 @@
 // the hybrid set size) and they multiprogram within each partition.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <functional>
 #include <vector>
 
 #include "sched/job.h"
@@ -29,16 +26,6 @@ class SuperScheduler final : public Scheduler {
   SuperScheduler(const SuperScheduler&) = delete;
   SuperScheduler& operator=(const SuperScheduler&) = delete;
 
-  /// Submits a job (arrival instant = now). Jobs are queued FCFS and
-  /// dispatched according to the policy.
-  void submit(Job& job) override;
-
-  [[nodiscard]] std::size_t queued_jobs() const override {
-    return queue_.size();
-  }
-  [[nodiscard]] std::uint64_t submitted() const override { return submitted_; }
-  [[nodiscard]] std::uint64_t completed() const override { return completed_; }
-
   /// Forwards the tracer to every partition scheduler (they emit the
   /// dispatch/run/rotation spans; this tier emits arrivals).
   void set_job_tracer(obs::JobTracer* tracer) override;
@@ -53,25 +40,17 @@ class SuperScheduler final : public Scheduler {
   void on_job_comm_failure(JobId job) override;
 
  private:
-  void pump();
+  void pump() override;
   /// Dispatch target per policy, or nullptr if no partition can accept work.
   PartitionScheduler* pick_partition() const;
-  void on_job_complete(Job& job);
-  /// Requeues (under budget) or permanently fails a fault-aborted job.
-  void handle_aborted(Job& job);
   [[nodiscard]] bool degraded(std::size_t i) const {
     return !dead_nodes_.empty() && dead_nodes_[i] > 0;
   }
   /// Partition index hosting `node`, or -1.
   [[nodiscard]] int partition_of(net::NodeId node) const;
 
-  sim::Simulation& sim_;
   std::vector<PartitionScheduler*> partitions_;
   PolicyConfig policy_;
-  std::deque<Job*> queue_;
-  std::uint64_t submitted_ = 0;
-  std::uint64_t completed_ = 0;
-  int restart_budget_ = 0;
   /// node id -> partition index (-1 outside any partition); built only when
   /// fault mode is armed, so fault-free runs never touch it.
   std::vector<int> node_partition_;

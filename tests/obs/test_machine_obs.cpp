@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -204,25 +206,46 @@ TEST(MachineObs, NoJobTrackerWithoutTimeline) {
   EXPECT_EQ(hub.timeline(), nullptr);
 }
 
-TEST(MachineObs, TraceLinesLandOnTimelineAsAnnotations) {
+TEST(MachineObs, ExitAndMemBlockedInstantsMatchTheirCounters) {
+  // Process exits and blocked MMU requests are recorded once, as node-track
+  // instants: one exit per process, one mem-blocked per counted wait.
   obs::Hub hub(full_options());
   auto config = tiny_config();
+  config.machine.memory_per_node = std::size_t{112} << 10;  // some requests block
   config.machine.obs = &hub;
+  (void)run_batch(config, workload::BatchOrder::kInterleaved);
 
-  Multicomputer machine(config.machine);
-  auto specs = workload::make_batch(config.batch,
-                                    workload::BatchOrder::kInterleaved);
-  std::vector<std::unique_ptr<sched::Job>> jobs;
-  sched::JobId next_id = 1;
-  for (auto& spec : specs) {
-    jobs.push_back(std::make_unique<sched::Job>(next_id++, std::move(spec)));
+  const obs::Timeline& tl = *hub.timeline();
+  std::set<double> exited_pids;
+  std::uint64_t exits = 0, blocked = 0;
+  for (const auto& r : tl.records()) {
+    if (r.kind != obs::RecordKind::kInstant) continue;
+    const bool is_exit = tl.name(r.name) == "exit";
+    const bool is_blocked = tl.name(r.name) == "mem-blocked";
+    if (!is_exit && !is_blocked) continue;
+    EXPECT_EQ(tl.tracks()[r.track].kind, obs::TrackKind::kNode);
+    if (is_exit) {
+      ++exits;
+      exited_pids.insert(r.value);
+    } else {
+      ++blocked;
+      EXPECT_GT(r.value, 0.0);  // bytes requested
+    }
   }
-  machine.enable_tracing(static_cast<unsigned>(sim::TraceCategory::kCpu),
-                         [](std::string_view) {});
-  for (auto& job : jobs) machine.submit(*job);
-  machine.run_to_completion();
+  // The adaptive architecture runs one process per allocated processor:
+  // 16 jobs on 4-node partitions.
+  EXPECT_EQ(exits, 16u * 4u);
+  EXPECT_EQ(exited_pids.size(), exits);
 
-  EXPECT_FALSE(hub.timeline()->annotations().empty());
+  double alloc_waits = 0.0;
+  for (const auto& view : hub.registry().snapshot()) {
+    const std::string_view name = view.name;
+    if (name.starts_with("node") && name.ends_with(".mem.alloc_waits")) {
+      alloc_waits += view.value;
+    }
+  }
+  EXPECT_GT(alloc_waits, 0.0);
+  EXPECT_EQ(static_cast<double>(blocked), alloc_waits);
 }
 
 TEST(MachineObs, SecondaryRunsDetachFromTheHub) {
