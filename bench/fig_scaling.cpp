@@ -140,7 +140,9 @@ SizePoint run_size(int nodes, int reps, bench::ObsSession* obs,
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
     point.wall_s = std::min(point.wall_s, wall.count());
-    point.events = run.machine.events;
+    // Silent quantum steps count as events, so events/s stays comparable
+    // with a kernel that fires one event per quantum.
+    point.events = run.machine.events + run.machine.quantum_steps;
     point.peak_pending = run.machine.peak_pending_events;
     point.mean_response_s = run.mean_response_s();
     point.makespan_s = run.makespan_s;

@@ -134,6 +134,8 @@ void Multicomputer::wire_observability() {
   // --- event-kernel self-profile ----------------------------------------
   reg.probe("kernel.events_fired",
             [this] { return static_cast<double>(sim_.fired_events()); });
+  reg.probe("kernel.quantum_steps",
+            [this] { return static_cast<double>(sim_.steps_taken()); });
   reg.probe("kernel.events_scheduled",
             [this] { return static_cast<double>(sim_.scheduled_events()); });
   reg.probe("kernel.pending_peak", [this] {
@@ -435,11 +437,14 @@ std::uint64_t Multicomputer::run_to_completion() {
     // channel at each interval tick strictly before the next event fires,
     // and never schedules events itself, so the event sequence -- and with
     // it every golden table -- is identical to the unsampled loop below.
+    // The next kernel action may be a silent quantum step; stepping only up
+    // to its instant keeps every sample on the same side of it as one
+    // event per quantum would.
     while (!sim_.idle() && sim_.next_event_time() <= cfg_.max_sim_time) {
       if (fault_only_left()) break;
-      sampler->advance_to(sim_.next_event_time());
-      if (!sim_.step()) break;
-      ++fired;
+      const sim::SimTime next = sim_.next_event_time();
+      sampler->advance_to(next);
+      if (sim_.step_until(next)) ++fired;
     }
   } else {
     while (!fault_only_left() && sim_.step_until(cfg_.max_sim_time)) {
@@ -472,6 +477,7 @@ std::uint64_t Multicomputer::run_to_completion() {
 MachineStats Multicomputer::stats() {
   MachineStats s;
   s.events = sim_.fired_events();
+  s.quantum_steps = sim_.steps_taken();
   s.peak_pending_events = sim_.peak_pending_events();
   s.messages = comm_->sends();
   s.self_sends = comm_->self_sends();

@@ -86,7 +86,11 @@ struct MachineConfig {
 
 /// Aggregate machine counters collected after a run.
 struct MachineStats {
+  /// Events fired. The silent quantum boundaries of stepped CPU charges are
+  /// counted apart, in quantum_steps: events + quantum_steps is the count of
+  /// a run that fires one event per quantum.
   std::uint64_t events = 0;
+  std::uint64_t quantum_steps = 0;
   /// High-water mark of the kernel's pending-event set (scaling studies:
   /// grows with machine size, and heap operations cost O(log) of it).
   std::size_t peak_pending_events = 0;

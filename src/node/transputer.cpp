@@ -61,6 +61,7 @@ void Transputer::make_ready(Process& p, sim::EventBatch* batch) {
   }
   p.state_ = ProcessState::kReady;
   low_queue_.push_back(&p);
+  truncate_chain();
   request_dispatch(batch);
 }
 
@@ -106,6 +107,7 @@ void Transputer::post_service(sim::SimTime cost,
                               sim::UniqueFunction<void()> done) {
   ++service_items_;
   service_queue_.push_back(ServiceWork{cost, std::move(done)});
+  truncate_chain();
   request_dispatch();
 }
 
@@ -163,7 +165,10 @@ void Transputer::request_dispatch(sim::EventBatch* batch) {
   }
 }
 
-void Transputer::crash() { crashed_ = true; }
+void Transputer::crash() {
+  crashed_ = true;
+  truncate_chain();  // the next boundary parks the process
+}
 
 void Transputer::restore() {
   crashed_ = false;
@@ -276,8 +281,7 @@ void Transputer::continue_low() {
       p.compute_remaining_ = compute->cost;
       p.phase_ = Process::OpPhase::kCopy;
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op(p);
     return;
   }
 
@@ -303,8 +307,7 @@ void Transputer::continue_low() {
       dispatch();
       return;
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op(p);
     return;
   }
 
@@ -325,8 +328,7 @@ void Transputer::continue_low() {
               static_cast<std::int64_t>(delivered->message.bytes);
       p.staged_ = std::move(delivered);
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op(p);
     return;
   }
 
@@ -337,8 +339,7 @@ void Transputer::continue_low() {
       p.compute_remaining_ = ctl->cost;
       p.phase_ = Process::OpPhase::kCopy;
     }
-    plan_charge(ChargeKind::kOp,
-                std::min(p.compute_remaining_, quantum_left_));
+    plan_op(p);
     return;
   }
 
@@ -376,16 +377,79 @@ void Transputer::plan_charge(ChargeKind kind, sim::SimTime amount) {
   assert(!amount.is_negative());
   charge_kind_ = kind;
   charge_started_ = sim_.now();
-  charge_amount_ = amount;
   set_busy(true);
   charge_event_ = sim_.schedule(amount, [this] { on_charge_done(); });
+}
+
+void Transputer::plan_op(Process& p) {
+  // The per-quantum charges are the reference behaviour, and the timeline
+  // records each of them, so an armed CPU keeps them.
+  if (timeline_ != nullptr || p.compute_remaining_ <= quantum_left_ ||
+      !low_queue_.empty() || !high_queue_.empty() ||
+      !service_queue_.empty()) {
+    plan_charge(ChargeKind::kOp,
+                std::min(p.compute_remaining_, quantum_left_));
+    return;
+  }
+  // Alone on the CPU, every boundary of this burst would only renew the
+  // quantum ("keep running" in on_charge_done) until a competitor arrives,
+  // which truncates the charge back to its next boundary. The kernel steps
+  // the boundaries with the draws the per-quantum events would make, so
+  // event order is unchanged; settle_chain() replays their side effects.
+  assert(charge_event_ == sim::kNoEvent);
+  charge_kind_ = ChargeKind::kOp;
+  charge_started_ = sim_.now();
+  stepped_ = true;
+  set_busy(true);
+  charge_event_ = sim_.schedule_stepped(quantum_left_, p.quantum(),
+                                        p.compute_remaining_,
+                                        [this] { on_charge_done(); });
+}
+
+void Transputer::truncate_chain() {
+  if (stepped_) sim_.truncate(charge_event_);
+}
+
+std::int64_t Transputer::boundaries_before(sim::SimTime next) const {
+  const sim::SimTime first = charge_started_ + quantum_left_;
+  if (next <= first) return 0;
+  const std::int64_t q = current_->quantum().ns();
+  return ((next - first).ns() + q - 1) / q;
+}
+
+void Transputer::settle_chain(sim::SimTime next) {
+  const std::int64_t n = boundaries_before(next);
+  if (n == 0) return;
+  // n times the alone-on-the-CPU path of on_charge_done, in one go.
+  Process& p = *current_;
+  const sim::SimTime ran = quantum_left_ + p.quantum() * (n - 1);
+  p.cpu_time_ += ran;
+  p.compute_remaining_ -= ran;
+  charge_started_ += ran;
+  quantum_left_ = p.quantum();
+  quantum_expiries_ += static_cast<std::uint64_t>(n);
+  service_turn_ = true;
+}
+
+void Transputer::settle() {
+  if (stepped_) settle_chain(sim_.pending_time(charge_event_));
+}
+
+std::uint64_t Transputer::quantum_expiries() const {
+  if (!stepped_) return quantum_expiries_;
+  return quantum_expiries_ + static_cast<std::uint64_t>(boundaries_before(
+                                 sim_.pending_time(charge_event_)));
 }
 
 void Transputer::on_charge_done() {
   charge_event_ = sim::kNoEvent;
   const ChargeKind kind = charge_kind_;
   charge_kind_ = ChargeKind::kNone;
-  const sim::SimTime amount = charge_amount_;
+  if (stepped_) {
+    settle_chain(sim_.now());  // the kernel stepped every boundary before now
+    stepped_ = false;
+  }
+  const sim::SimTime amount = sim_.now() - charge_started_;
   if (timeline_ != nullptr) {
     record_charge(kind, charge_started_, amount,
                   kind == ChargeKind::kOp || kind == ChargeKind::kContext
@@ -451,6 +515,8 @@ void Transputer::on_charge_done() {
 Process& Transputer::interrupt_low_charge() {
   assert(charge_kind_ == ChargeKind::kOp ||
          charge_kind_ == ChargeKind::kContext);
+  settle();
+  stepped_ = false;
   const bool cancelled = sim_.cancel(charge_event_);
   assert(cancelled);
   (void)cancelled;

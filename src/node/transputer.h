@@ -127,6 +127,12 @@ class Transputer {
   void force_exit(Process& p);
   [[nodiscard]] bool crashed() const { return crashed_; }
 
+  /// Brings the running process's accounting up to date: replays the
+  /// quantum boundaries its stepped charge has passed silently (see
+  /// plan_op), so Process::cpu_time() is what the per-quantum charges would
+  /// have recorded by now. The charge keeps running.
+  void settle();
+
   // --- observability ------------------------------------------------------
   [[nodiscard]] std::size_t ready_count() const { return low_queue_.size(); }
   [[nodiscard]] bool busy() const { return charge_event_ != sim::kNoEvent; }
@@ -137,7 +143,9 @@ class Transputer {
     return busy_tracker_.busy_time(sim_.now());
   }
   [[nodiscard]] std::uint64_t context_switches() const { return context_switches_; }
-  [[nodiscard]] std::uint64_t quantum_expiries() const { return quantum_expiries_; }
+  /// Includes the boundaries an in-flight stepped charge has passed but not
+  /// yet settled.
+  [[nodiscard]] std::uint64_t quantum_expiries() const;
   [[nodiscard]] std::uint64_t high_preemptions() const { return high_preemptions_; }
   [[nodiscard]] std::uint64_t high_items() const { return high_items_; }
   [[nodiscard]] std::uint64_t service_items() const { return service_items_; }
@@ -174,6 +182,20 @@ class Transputer {
   void continue_low();
   /// Schedules the end-of-charge event.
   void plan_charge(ChargeKind kind, sim::SimTime amount);
+  /// Plans the next charge of the op at current_->pc_. With the CPU to
+  /// itself (no queued competitor, no timeline), the whole remaining burst
+  /// becomes one stepped charge whose quantum boundaries the kernel steps
+  /// silently; otherwise one quantum-bounded charge.
+  void plan_op(Process& p);
+  /// A competitor arrived: a stepped charge must stop at its next boundary,
+  /// where the per-quantum callback would find the CPU shared.
+  void truncate_chain();
+  /// Number of quantum boundaries of the stepped charge strictly before
+  /// `next`: the ones the kernel has already stepped past.
+  [[nodiscard]] std::int64_t boundaries_before(sim::SimTime next) const;
+  /// Replays each boundary before `next` with every side effect of the
+  /// per-quantum callback at that boundary.
+  void settle_chain(sim::SimTime next);
   void on_charge_done();
   /// Cancels an in-flight daemon charge, accounting the elapsed work.
   void interrupt_service();
@@ -228,8 +250,10 @@ class Transputer {
   bool pump_scheduled_ = false;
   bool crashed_ = false;
   ChargeKind charge_kind_ = ChargeKind::kNone;
+  /// The in-flight kOp charge is stepped (see plan_op).
+  bool stepped_ = false;
+  /// Start of the charge; for a stepped charge, of its unsettled part.
   sim::SimTime charge_started_;
-  sim::SimTime charge_amount_;
 
   sim::BusyTracker busy_tracker_;
   std::uint64_t service_items_ = 0;

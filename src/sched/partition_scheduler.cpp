@@ -223,6 +223,9 @@ void PartitionScheduler::abort_job(Job& job) {
   assert(it != live_processes_.end() && "aborting a non-resident job");
   live_processes_.erase(it);
   gang_leave(job);
+  for (auto& process : job.processes()) {
+    cpus_[static_cast<std::size_t>(process->node())]->settle();
+  }
   job.record_cpu(job.total_cpu_time());
   for (auto& process : job.processes()) {
     cpus_[static_cast<std::size_t>(process->node())]->force_exit(*process);

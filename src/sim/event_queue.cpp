@@ -77,19 +77,58 @@ std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
   return k;
 }
 
-bool EventQueue::cancel(EventId id) {
-  const auto low = static_cast<std::uint32_t>(id & 0xffffffffu);
-  if (low == 0) return false;  // kNoEvent or malformed
-  const std::uint32_t index = low - 1;
-  if (index >= slots_.size()) return false;
+EventId EventQueue::schedule_stepped(SimTime first, SimTime step,
+                                     SimTime deadline, Callback cb) {
+  assert(step > SimTime::zero() && "a stepped event must advance");
+  assert(first <= deadline);
+  const std::uint32_t index = acquire_slot(std::move(cb));
   Slot& slot = slots_[index];
+  slot.stepped = true;
+  if (index >= stepping_.size()) stepping_.resize(slots_.size());
+  stepping_[index] = Stepping{first, step, deadline};
+  ++live_;
+  if (live_ > peak_live_) peak_live_ = live_;
+  // Always the heap, never the same-instant lane: only a heap top is ever
+  // re-keyed. Pop merges the two fronts under (time, seq), so the order is
+  // exact either way.
+  heap_.push_back(Entry{first, ++scheduled_, index, slot.generation});
+  sift_up(heap_.size() - 1);
+  return make_id(index, slot.generation);
+}
+
+std::uint32_t EventQueue::live_index(EventId id) const {
+  const auto low = static_cast<std::uint32_t>(id & 0xffffffffu);
+  if (low == 0) return kFreeListEnd;  // kNoEvent or malformed
+  const std::uint32_t index = low - 1;
+  if (index >= slots_.size()) return kFreeListEnd;
+  const Slot& slot = slots_[index];
   if (!slot.live || slot.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return false;  // already fired/cancelled, or a stale handle to a reused slot
+    return kFreeListEnd;  // already fired/cancelled, or a stale handle
   }
+  return index;
+}
+
+bool EventQueue::truncate(EventId id) {
+  const std::uint32_t index = live_index(id);
+  if (index == kFreeListEnd || !slots_[index].stepped) return false;
+  stepping_[index].deadline = stepping_[index].key;
+  return true;
+}
+
+SimTime EventQueue::pending_time(EventId id) const {
+  const std::uint32_t index = live_index(id);
+  assert(index != kFreeListEnd && slots_[index].stepped &&
+         "pending_time() of a non-pending or plain event");
+  return stepping_[index].key;
+}
+
+bool EventQueue::cancel(EventId id) {
+  const std::uint32_t index = live_index(id);
+  if (index == kFreeListEnd) return false;
   // Destroying the callback can release resources whose teardown re-enters
   // schedule() (and may grow slots_); move it out and finish all bookkeeping
   // before the destructor runs at return.
-  Callback doomed = std::move(slot.callback);
+  Callback doomed = std::move(slots_[index].callback);
   retire_slot(index);
   return true;
 }
@@ -97,6 +136,7 @@ bool EventQueue::cancel(EventId id) {
 void EventQueue::retire_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
   slot.live = false;
+  slot.stepped = false;
   ++slot.generation;
   slot.next_free = free_head_;
   free_head_ = index;
@@ -124,16 +164,33 @@ void EventQueue::drop_stale_fifo() const {
   now_head_ = 0;
 }
 
-SimTime EventQueue::next_time() const {
+bool EventQueue::lane_leads() const {
   drop_stale_top();
   drop_stale_fifo();
-  if (fifo_drained()) {
-    assert(!heap_.empty() && "next_time() on empty EventQueue");
-    return heap_.front().time;
-  }
-  const Entry& front = now_fifo_[now_head_];
-  if (heap_.empty() || before(front, heap_.front())) return front.time;
+  return !fifo_drained() &&
+         (heap_.empty() || before(now_fifo_[now_head_], heap_.front()));
+}
+
+SimTime EventQueue::next_time() const {
+  if (lane_leads()) return now_fifo_[now_head_].time;
+  assert(!heap_.empty() && "next_time() on empty EventQueue");
   return heap_.front().time;
+}
+
+bool EventQueue::step_top() {
+  Entry& top = heap_.front();
+  if (!slots_[top.slot].stepped) return false;
+  Stepping& stepping = stepping_[top.slot];
+  if (top.time >= stepping.deadline) return false;  // due: fire it
+  // Exactly what the eager chain does here: its callback pops at this key
+  // and re-schedules one step on, drawing the next sequence number.
+  current_ = top.time;
+  top.time = std::min(top.time + stepping.step, stepping.deadline);
+  top.seq = ++scheduled_;
+  stepping.key = top.time;
+  ++steps_;
+  sift_down(0);
+  return true;
 }
 
 EventQueue::Fired EventQueue::pop_fifo_front() {
@@ -145,14 +202,7 @@ EventQueue::Fired EventQueue::pop_fifo_front() {
   return fired;
 }
 
-EventQueue::Fired EventQueue::pop() {
-  drop_stale_top();
-  drop_stale_fifo();
-  if (!fifo_drained() &&
-      (heap_.empty() || before(now_fifo_[now_head_], heap_.front()))) {
-    return pop_fifo_front();
-  }
-  assert(!heap_.empty() && "pop() on empty EventQueue");
+EventQueue::Fired EventQueue::pop_heap_top() {
   const Entry top = heap_.front();
   pop_top();
   current_ = top.time;
@@ -162,29 +212,35 @@ EventQueue::Fired EventQueue::pop() {
   return fired;
 }
 
-bool EventQueue::pop_if_at_most(SimTime limit, Fired& out) {
-  drop_stale_top();
-  drop_stale_fifo();
-  if (!fifo_drained() &&
-      (heap_.empty() || before(now_fifo_[now_head_], heap_.front()))) {
-    if (now_fifo_[now_head_].time > limit) return false;
-    out = pop_fifo_front();
-    return true;
+EventQueue::Fired EventQueue::pop() {
+  for (;;) {
+    if (lane_leads()) return pop_fifo_front();
+    assert(!heap_.empty() && "pop() on empty EventQueue");
+    if (!step_top()) return pop_heap_top();
   }
-  if (heap_.empty() || heap_.front().time > limit) return false;
-  const Entry top = heap_.front();
-  pop_top();
-  current_ = top.time;
-  out = Fired{top.time, make_id(top.slot, top.generation),
-              std::move(slots_[top.slot].callback)};
-  retire_slot(top.slot);
+}
+
+bool EventQueue::pop_if_at_most(SimTime limit, Fired& out) {
+  for (;;) {
+    if (lane_leads()) {
+      if (now_fifo_[now_head_].time > limit) return false;
+      out = pop_fifo_front();
+      return true;
+    }
+    // A step is taken only where the eager chain's event would have fired,
+    // so never past the limit.
+    if (heap_.empty() || heap_.front().time > limit) return false;
+    if (!step_top()) break;
+  }
+  out = pop_heap_top();
   return true;
 }
 
 std::size_t EventQueue::discard_all() {
   std::size_t n = 0;
   while (!empty()) {
-    Fired fired = pop();
+    // Pops without stepping: a stepped event goes in one piece.
+    Fired fired = lane_leads() ? pop_fifo_front() : pop_heap_top();
     (void)fired;  // callback destroyed here; may enqueue new events
     ++n;
   }

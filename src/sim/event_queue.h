@@ -39,6 +39,15 @@ inline constexpr EventId kNoEvent = 0;
 /// sequence number than anything in the lane, and pop() compares the two
 /// fronts under the same strict (time, seq) order either way. Roughly a
 /// third of all events in the paper's workloads take this O(1) path.
+///
+/// Stepped events: schedule_stepped() inserts an entry that stands in for a
+/// self-rescheduling callback chain (a CPU burst that renews its quantum at
+/// every boundary). Each time the entry surfaces before its deadline, the
+/// queue re-keys it in place -- drawing the next sequence number exactly as
+/// the chain's re-schedule would, at the same moment -- and runs nothing.
+/// The callback fires only when the entry surfaces at its deadline. Because
+/// every draw happens in the same order as in the eager chain, sequence
+/// numbers, tie-breaks and scheduled_count() are all unchanged.
 class EventQueue {
  public:
   using Callback = UniqueFunction<void()>;
@@ -72,6 +81,24 @@ class EventQueue {
   std::size_t schedule_batch(SimTime at, std::span<Callback> cbs,
                              EventId* ids = nullptr);
 
+  /// Schedules a stepped event: it surfaces at `first`, then every `step`
+  /// (> 0), with the last step clipped to `deadline` (>= `first`). Every
+  /// surfacing before the deadline is a silent step: the entry is re-keyed
+  /// with a freshly drawn sequence number and nothing runs. `cb` fires when
+  /// the entry surfaces at its deadline. Steps are counted by
+  /// steps_taken(), not as pops.
+  EventId schedule_stepped(SimTime first, SimTime step, SimTime deadline,
+                           Callback cb);
+
+  /// Moves a pending stepped event's deadline to its current key, so its
+  /// callback fires at the next surfacing (with the key the eager chain
+  /// would have drawn). Returns false if `id` is not a pending stepped
+  /// event.
+  bool truncate(EventId id);
+
+  /// Current key (next surfacing time) of a pending stepped event.
+  [[nodiscard]] SimTime pending_time(EventId id) const;
+
   /// Cancels a pending event. Returns false if the event already fired,
   /// was already cancelled, or the id was never issued.
   bool cancel(EventId id);
@@ -79,7 +106,8 @@ class EventQueue {
   [[nodiscard]] bool empty() const { return live_ == 0; }
   [[nodiscard]] std::size_t size() const { return live_; }
 
-  /// Time of the earliest pending event. Must not be called when empty.
+  /// Time of the earliest pending event; for a stepped event, its next
+  /// surfacing. Must not be called when empty.
   [[nodiscard]] SimTime next_time() const;
 
   /// Removes and returns the earliest pending event's callback, along with
@@ -98,13 +126,23 @@ class EventQueue {
   /// but walks the stale-entry lazy-deletion pass once instead of twice.
   bool pop_if_at_most(SimTime limit, Fired& out);
 
-  /// Total events ever scheduled (monotone; includes cancelled ones).
+  /// Total events ever scheduled (monotone; includes cancelled ones). Each
+  /// step of a stepped event counts, as the eager re-schedule would.
   [[nodiscard]] std::uint64_t scheduled_count() const { return scheduled_; }
+
+  /// Silent steps taken by stepped events (monotone). Fired events plus
+  /// steps equal the events an eager callback chain would have fired.
+  [[nodiscard]] std::uint64_t steps_taken() const { return steps_; }
+
+  /// Time of the most recent pop or step: the instant the queue last
+  /// reached.
+  [[nodiscard]] SimTime current_time() const { return current_; }
 
   /// High-water mark of the pending set (kernel self-profile: heap depth).
   [[nodiscard]] std::size_t peak_size() const { return peak_live_; }
 
-  /// Destroys all pending events without firing them. Destroying a callback
+  /// Destroys all pending events without firing them (a stepped event is
+  /// dropped whole, without walking its steps). Destroying a callback
   /// can release resources that schedule new events; the loop keeps going
   /// until the set is truly empty. Returns the number discarded.
   std::size_t discard_all();
@@ -121,6 +159,14 @@ class EventQueue {
     std::uint32_t generation = 0;
     std::uint32_t next_free = kFreeListEnd;
     bool live = false;
+    bool stepped = false;  // its schedule lives in stepping_[slot index]
+  };
+  /// Schedule of a stepped event, kept beside the slot pool (indexed like
+  /// it) so plain events do not pay for it.
+  struct Stepping {
+    SimTime key;  // current heap key: the next surfacing
+    SimTime step;
+    SimTime deadline;
   };
   static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
   /// Slot-pool capacity reserved on first use (~380 KB with the heap array).
@@ -149,6 +195,17 @@ class EventQueue {
   /// handles and heap entries), and returns it to the free list.
   void retire_slot(std::uint32_t index);
 
+  /// Slot index of a pending event, or kFreeListEnd if `id` is not pending.
+  [[nodiscard]] std::uint32_t live_index(EventId id) const;
+
+  /// Drops stale fronts; true when the lane's front precedes the heap top
+  /// (so it is the next to pop). Must not be called when empty.
+  bool lane_leads() const;
+  /// Takes the heap top's step if it is a stepped event surfacing before
+  /// its deadline: re-keys it in place and returns true.
+  bool step_top();
+  /// Removes the (live) heap top as a Fired record.
+  Fired pop_heap_top();
   // Lazy deletion happens on the read path (next_time is const), so the
   // heap maintenance helpers are const over the mutable heap array.
   void drop_stale_top() const;
@@ -181,12 +238,14 @@ class EventQueue {
   mutable std::vector<Entry> now_fifo_;
   mutable std::size_t now_head_ = 0;
   std::vector<Slot> slots_;
+  std::vector<Stepping> stepping_;  // grown with the pool, by stepped events
   std::uint32_t free_head_ = kFreeListEnd;
   std::uint64_t scheduled_ = 0;
+  std::uint64_t steps_ = 0;
   std::size_t live_ = 0;
   std::size_t peak_live_ = 0;
-  /// Time of the most recently popped event; the gate for the fast lane.
-  /// Starts at zero: nothing can be scheduled before the epoch, so events
+  /// Time of the most recently popped (or stepped) event; the gate for the
+  /// fast lane. Starts at zero: nothing can be scheduled before the epoch, so events
   /// scheduled at t=0 before the first pop ride the lane correctly.
   SimTime current_;
 };

@@ -1,5 +1,6 @@
 #include "sim/simulation.h"
 
+#include <algorithm>
 #include <cassert>
 #include <ostream>
 #include <utility>
@@ -25,6 +26,14 @@ std::size_t Simulation::schedule_batch(SimTime delay, EventBatch& batch) {
   const std::size_t n = queue_.schedule_batch(now_ + delay, batch.callbacks());
   batch.clear();
   return n;
+}
+
+EventId Simulation::schedule_stepped(SimTime first, SimTime step,
+                                     SimTime deadline,
+                                     EventQueue::Callback cb) {
+  assert(!first.is_negative() && "negative delay");
+  return queue_.schedule_stepped(now_ + first, step, now_ + deadline,
+                                 std::move(cb));
 }
 
 std::uint64_t Simulation::run(std::uint64_t max_events) {
@@ -64,7 +73,10 @@ bool Simulation::step() {
 
 bool Simulation::step_until(SimTime limit) {
   EventQueue::Fired fired;
-  if (!queue_.pop_if_at_most(limit, fired)) return false;
+  if (!queue_.pop_if_at_most(limit, fired)) {
+    now_ = std::max(now_, queue_.current_time());
+    return false;
+  }
   now_ = fired.time;
   fired.callback();
   ++fired_;

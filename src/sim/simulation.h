@@ -38,6 +38,22 @@ class Simulation {
   /// Returns the number of events scheduled.
   std::size_t schedule_batch(SimTime delay, EventBatch& batch);
 
+  /// Schedules a stepped event (see EventQueue::schedule_stepped): it
+  /// surfaces `first` from now, then every `step`, and `cb` fires at
+  /// `deadline` from now. Each surfacing before the deadline is a silent
+  /// step, counted by steps_taken() instead of fired_events().
+  EventId schedule_stepped(SimTime first, SimTime step, SimTime deadline,
+                           EventQueue::Callback cb);
+
+  /// Ends a pending stepped event at its next surfacing (see
+  /// EventQueue::truncate).
+  bool truncate(EventId id) { return queue_.truncate(id); }
+
+  /// Next surfacing time of a pending stepped event.
+  [[nodiscard]] SimTime pending_time(EventId id) const {
+    return queue_.pending_time(id);
+  }
+
   /// Cancels a pending event; returns false if it already fired.
   bool cancel(EventId id) { return queue_.cancel(id); }
 
@@ -49,13 +65,17 @@ class Simulation {
   /// (even if no event fired exactly there). Returns events fired.
   std::uint64_t run_until(SimTime until);
 
-  /// Fires exactly one event if any is pending. Returns true if one fired.
+  /// Fires exactly one event if any is pending, taking the silent steps
+  /// due before it on the way. Returns true if one fired.
   bool step();
 
   /// Fires exactly one event if one is pending at or before `limit`.
   /// Equivalent to `!idle() && next_event_time() <= limit` followed by
   /// step(), but performs the queue's lazy-deletion scan once instead of
-  /// twice -- the shape of a watchdog-bounded run loop.
+  /// twice -- the shape of a watchdog-bounded run loop. Steps due at or
+  /// before `limit` are taken on the way; when no event fires, the clock
+  /// still moves to the last step taken, as the eager chain's event would
+  /// have moved it.
   bool step_until(SimTime limit);
 
   /// Destroys all pending events without firing them (teardown aid for
@@ -67,6 +87,11 @@ class Simulation {
   [[nodiscard]] SimTime next_event_time() const { return queue_.next_time(); }
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t fired_events() const { return fired_; }
+  /// Silent steps of stepped events; fired_events() + steps_taken() is the
+  /// event count of the equivalent eager callback chains.
+  [[nodiscard]] std::uint64_t steps_taken() const {
+    return queue_.steps_taken();
+  }
   /// Total events ever scheduled (monotone; includes cancelled ones).
   [[nodiscard]] std::uint64_t scheduled_events() const {
     return queue_.scheduled_count();

@@ -43,31 +43,65 @@ bool has_metric(const std::vector<obs::Registry::View>& views,
                      [&name](const auto& v) { return v.name == name; });
 }
 
-TEST(MachineObs, FullInstrumentationIsInert) {
-  const auto config = tiny_config();
-  const auto plain = run_batch(config, workload::BatchOrder::kInterleaved);
+/// Runs `config` plain and with every instrument armed. An armed timeline
+/// keeps one event per quantum where a plain CPU steps a lone process's
+/// quantum boundaries silently, so events compare as events + quantum_steps.
+struct InertPair {
+  RunResult plain;
+  RunResult observed;
+};
 
-  obs::Hub hub(full_options());
+InertPair expect_inert(const ExperimentConfig& config, obs::Hub& hub) {
+  InertPair runs;
+  runs.plain = run_batch(config, workload::BatchOrder::kInterleaved);
   auto observed_config = config;
   observed_config.machine.obs = &hub;
-  const auto observed =
+  runs.observed =
       run_batch(observed_config, workload::BatchOrder::kInterleaved);
+  const RunResult& plain = runs.plain;
+  const RunResult& observed = runs.observed;
 
   // Byte-level determinism claim: same events, same clock, same responses.
-  EXPECT_EQ(plain.machine.events, observed.machine.events);
+  EXPECT_EQ(plain.machine.events + plain.machine.quantum_steps,
+            observed.machine.events + observed.machine.quantum_steps);
   EXPECT_EQ(plain.machine.messages, observed.machine.messages);
   EXPECT_EQ(plain.machine.context_switches, observed.machine.context_switches);
+  EXPECT_EQ(plain.machine.quantum_expiries, observed.machine.quantum_expiries);
   EXPECT_DOUBLE_EQ(plain.makespan_s, observed.makespan_s);
-  ASSERT_EQ(plain.jobs.size(), observed.jobs.size());
-  for (std::size_t i = 0; i < plain.jobs.size(); ++i) {
+  EXPECT_EQ(observed.machine.quantum_steps, 0u);  // the reference path
+  EXPECT_EQ(plain.jobs.size(), observed.jobs.size());
+  for (std::size_t i = 0;
+       i < std::min(plain.jobs.size(), observed.jobs.size()); ++i) {
     EXPECT_DOUBLE_EQ(plain.jobs[i].response_s, observed.jobs[i].response_s);
     EXPECT_DOUBLE_EQ(plain.jobs[i].wait_s, observed.jobs[i].wait_s);
   }
 
   // And the observed run actually recorded something.
   EXPECT_GT(hub.registry().size(), 0u);
-  ASSERT_NE(hub.timeline(), nullptr);
-  EXPECT_FALSE(hub.timeline()->records().empty());
+  EXPECT_NE(hub.timeline(), nullptr);
+  if (hub.timeline() != nullptr) {
+    EXPECT_FALSE(hub.timeline()->records().empty());
+  }
+  return runs;
+}
+
+TEST(MachineObs, FullInstrumentationIsInert) {
+  obs::Hub hub(full_options());
+  (void)expect_inert(tiny_config(), hub);
+}
+
+TEST(MachineObs, FullInstrumentationIsInertWhenProcessesRunAlone) {
+  // Space sharing runs one process per node, so a plain run steps its
+  // quantum boundaries silently; the armed run fires every one of them.
+  auto config = figure_point(workload::App::kMatMul,
+                             sched::SoftwareArch::kFixed,
+                             sched::PolicyKind::kStatic, 4,
+                             net::TopologyKind::kMesh);
+  config.batch.small_size = 16;
+  config.batch.large_size = 32;
+  obs::Hub hub(full_options());
+  const InertPair runs = expect_inert(config, hub);
+  EXPECT_GT(runs.plain.machine.quantum_steps, 0u);
 }
 
 TEST(MachineObs, RegistryCoversEveryInstrumentFamily) {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <random>
@@ -458,6 +459,234 @@ TEST(EventQueueModel, SimulationBatchPreservesFifoAgainstSingles) {
   sim.schedule(ns(15), [&order] { order.push_back(1); });
   sim.run_until(ns(100));
   EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 13, 0, 1}));
+}
+
+// --- stepped events -----------------------------------------------------
+//
+// A stepped event must be indistinguishable from the self-rescheduling
+// callback chain it stands for: a callback that, surfacing before its
+// deadline, re-schedules itself one step on (clipped to the deadline). Two
+// simulations run the same seeded world, one with eager chains and one with
+// stepped events, amid random events that pile onto the chain boundaries.
+// Both make the same random choices in the same order as long as their
+// events fire in the same order, so any divergence shows up in the log.
+
+/// One side of the stepped-vs-eager differential.
+class ChainWorld {
+ public:
+  ChainWorld(bool stepped, std::uint64_t seed) : stepped_(stepped), rng_(seed) {}
+
+  void start() {
+    for (int i = 0; i < 40; ++i) {
+      sim_.schedule(grid(0, 30), [this, i] { background(i); });
+    }
+    start_chain(0);
+  }
+
+  /// Runs to `limit` with run_until or with a step_until loop.
+  void advance(SimTime limit, bool by_steps) {
+    if (by_steps) {
+      while (sim_.step_until(limit)) {
+      }
+    } else {
+      sim_.run_until(limit);
+    }
+  }
+
+  [[nodiscard]] const Simulation& sim() const { return sim_; }
+  [[nodiscard]] const std::vector<std::pair<int, std::int64_t>>& log() const {
+    return log_;
+  }
+
+ private:
+  static constexpr int kChains = 2;
+  struct Chain {
+    EventId id = kNoEvent;
+    SimTime pending;  // eager side: the chain event's time
+    SimTime step;
+    SimTime deadline;
+  };
+
+  /// A time offset on a coarse 5 ns grid (steps are 10 or 15 ns), so
+  /// background events land on chain boundaries all the time.
+  SimTime grid(int lo, int hi) {
+    return ns(5 * std::uniform_int_distribution<int>(lo, hi)(rng_));
+  }
+  int roll() { return std::uniform_int_distribution<int>(0, 99)(rng_); }
+
+  void start_chain(int c) {
+    Chain& chain = chains_[c];
+    const SimTime first = grid(1, 4);
+    chain.step = ns(std::uniform_int_distribution<int>(0, 1)(rng_) == 0 ? 10 : 15);
+    const SimTime deadline = first + grid(0, 20);
+    chain.deadline = sim_.now() + deadline;
+    const int tag = next_tag_++;
+    if (stepped_) {
+      chain.id = sim_.schedule_stepped(first, chain.step, deadline,
+                                       [this, c, tag] { finish(c, tag); });
+    } else {
+      chain.pending = sim_.now() + first;
+      chain.id = sim_.schedule(first, [this, c, tag] { surface(c, tag); });
+    }
+  }
+
+  /// The eager chain: one event per step.
+  void surface(int c, int tag) {
+    Chain& chain = chains_[c];
+    if (sim_.now() < chain.deadline) {
+      chain.pending = std::min(sim_.now() + chain.step, chain.deadline);
+      chain.id = sim_.schedule(chain.pending - sim_.now(),
+                               [this, c, tag] { surface(c, tag); });
+      return;
+    }
+    finish(c, tag);
+  }
+
+  void finish(int c, int tag) {
+    chains_[c].id = kNoEvent;
+    log_.emplace_back(-1000 - tag, sim_.now().ns());
+    // The final callback's key is the last draw: the same-instant events
+    // around it pin where it fell. Its scheduled count pins the draws.
+    log_.emplace_back(-2000 - tag,
+                      static_cast<std::int64_t>(sim_.scheduled_events()));
+  }
+
+  void truncate(int c) {
+    Chain& chain = chains_[c];
+    if (chain.id == kNoEvent) return;
+    if (stepped_) {
+      EXPECT_TRUE(sim_.truncate(chain.id));
+    } else {
+      chain.deadline = chain.pending;
+    }
+  }
+
+  void cancel(int c) {
+    Chain& chain = chains_[c];
+    if (chain.id == kNoEvent) return;
+    EXPECT_TRUE(sim_.cancel(chain.id));
+    chain.id = kNoEvent;
+  }
+
+  void background(int payload) {
+    log_.emplace_back(payload, sim_.now().ns());
+    const int c = std::uniform_int_distribution<int>(0, kChains - 1)(rng_);
+    const int r = roll();
+    if (r < 15) {
+      truncate(c);
+    } else if (r < 22) {
+      cancel(c);
+    } else if (r < 45 && chains_[c].id == kNoEvent) {
+      start_chain(c);
+    }
+    // Keep the world busy: zero-delay follow-ups ride the same-instant
+    // lane, the rest fall on the grid.
+    const int follow_ups = roll() < 60 ? 1 : (roll() < 50 ? 2 : 0);
+    for (int k = 0; k < follow_ups && next_payload_ < 4000; ++k) {
+      const int next = next_payload_++;
+      sim_.schedule(grid(0, 6), [this, next] { background(next); });
+    }
+  }
+
+  bool stepped_;
+  std::mt19937_64 rng_;
+  Simulation sim_;
+  Chain chains_[kChains];
+  std::vector<std::pair<int, std::int64_t>> log_;
+  int next_payload_ = 40;
+  int next_tag_ = 0;
+};
+
+TEST(EventQueueModel, SteppedEventMatchesEagerChain) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ChainWorld eager(false, seed);
+    ChainWorld stepped(true, seed);
+    eager.start();
+    stepped.start();
+    std::mt19937_64 limits(seed ^ 0x9e3779b97f4a7c15ull);
+    SimTime limit;
+    while (!eager.sim().idle() || !stepped.sim().idle()) {
+      limit += ns(std::uniform_int_distribution<int>(0, 40)(limits));
+      const bool by_steps = (limits() & 1u) != 0;
+      eager.advance(limit, by_steps);
+      stepped.advance(limit, by_steps);
+      ASSERT_EQ(stepped.log(), eager.log());
+      // Never a step past the limit: every eager chain event at or before
+      // it has fired, and exactly those were stepped.
+      ASSERT_EQ(stepped.sim().fired_events() + stepped.sim().steps_taken(),
+                eager.sim().fired_events());
+      ASSERT_EQ(stepped.sim().scheduled_events(),
+                eager.sim().scheduled_events());
+      ASSERT_EQ(stepped.sim().pending_events(), eager.sim().pending_events());
+      ASSERT_EQ(stepped.sim().now(), eager.sim().now());
+    }
+    EXPECT_EQ(stepped.sim().peak_pending_events(),
+              eager.sim().peak_pending_events());
+    EXPECT_GT(stepped.sim().steps_taken(), 0u);
+    EXPECT_EQ(eager.sim().steps_taken(), 0u);
+  }
+}
+
+TEST(EventQueueModel, SteppedEventSurfacesOnItsGrid) {
+  EventQueue queue;
+  int fired = 0;
+  const EventId id = queue.schedule_stepped(ns(10), ns(10), ns(45),
+                                            [&fired] { ++fired; });
+  EventQueue::Fired out;
+  // Steps at 10, 20 and 30; the limit stops it before 40.
+  EXPECT_FALSE(queue.pop_if_at_most(ns(35), out));
+  EXPECT_EQ(queue.steps_taken(), 3u);
+  EXPECT_EQ(queue.pending_time(id), ns(40));
+  EXPECT_EQ(queue.current_time(), ns(30));
+  EXPECT_EQ(queue.next_time(), ns(40));
+  EXPECT_EQ(queue.scheduled_count(), 4u);
+  // The last step is clipped to the deadline, where the callback fires.
+  out = queue.pop();
+  EXPECT_EQ(out.time, ns(45));
+  EXPECT_EQ(out.id, id);
+  out.callback();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(queue.steps_taken(), 4u);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueModel, TruncateEndsAtTheNextSurfacing) {
+  EventQueue queue;
+  const EventId id = queue.schedule_stepped(ns(10), ns(10), ns(100), [] {});
+  const EventId plain = queue.schedule(ns(25), [] {});
+  EventQueue::Fired out;
+  ASSERT_TRUE(queue.pop_if_at_most(ns(25), out));  // steps 10, 20; fires 25
+  EXPECT_EQ(out.id, plain);
+  EXPECT_TRUE(queue.truncate(id));
+  EXPECT_FALSE(queue.truncate(plain));  // fired
+  EXPECT_EQ(queue.pending_time(id), ns(30));
+  out = queue.pop();
+  EXPECT_EQ(out.time, ns(30));
+  EXPECT_EQ(out.id, id);
+  EXPECT_EQ(queue.steps_taken(), 2u);
+  EXPECT_FALSE(queue.truncate(id));  // fired
+
+  const EventId other = queue.schedule(ns(50), [] {});
+  EXPECT_FALSE(queue.truncate(other));  // a plain event has no steps
+}
+
+TEST(EventQueueModel, DiscardDropsSteppedEventsWhole) {
+  EventQueue queue;
+  queue.schedule_stepped(ns(1), ns(1), ns(1'000'000), [] {});
+  queue.schedule(ns(5), [] {});
+  EXPECT_EQ(queue.discard_all(), 2u);
+  EXPECT_EQ(queue.steps_taken(), 0u);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueModel, StepUntilMovesTheClockToTheLastStep) {
+  Simulation sim;
+  sim.schedule_stepped(ns(10), ns(10), ns(100), [] {});
+  EXPECT_FALSE(sim.step_until(ns(35)));
+  EXPECT_EQ(sim.now(), ns(30));
+  EXPECT_EQ(sim.steps_taken(), 3u);
+  EXPECT_EQ(sim.fired_events(), 0u);
 }
 
 }  // namespace
