@@ -74,56 +74,24 @@ void Mmu::release_range(std::size_t offset, std::size_t size) {
   }
 }
 
-std::uint32_t Mmu::acquire_grant(std::size_t offset, std::size_t bytes,
-                                 Grant on_grant, const void* owner) {
-  std::uint32_t slot;
-  if (grant_free_ != kFreeListEnd) {
-    slot = grant_free_;
-    grant_free_ = grants_[slot].next_free;
-  } else {
-    if (grants_.size() == grants_.capacity()) {
-      grants_.reserve(std::max<std::size_t>(16, grants_.size() * 2));
-    }
-    slot = static_cast<std::uint32_t>(grants_.size());
-    grants_.emplace_back();
-  }
-  GrantSlot& g = grants_[slot];
-  g.offset = offset;
-  g.bytes = bytes;
-  g.on_grant = std::move(on_grant);
-  g.owner = owner;
-  g.live = true;
-  return slot;
-}
-
-void Mmu::retire_grant(std::uint32_t slot) {
-  GrantSlot& g = grants_[slot];
-  g.live = false;
-  ++g.generation;
-  g.next_free = grant_free_;
-  grant_free_ = slot;
-}
-
-void Mmu::fire_grant(std::uint32_t slot, std::uint32_t generation) {
-  GrantSlot& g = grants_[slot];
-  if (!g.live || g.generation != generation) return;  // discarded grant
+void Mmu::fire_grant(sim::SlotHandle slot) {
+  if (!grants_.live(slot)) return;  // discarded grant
+  GrantSlot& g = grants_[slot.index];
   const std::size_t offset = g.offset;
   const std::size_t bytes = g.bytes;
   Grant cb = std::move(g.on_grant);
   // Retire before running the callback: it may request again and reuse the
   // slot.
-  retire_grant(slot);
+  grants_.retire(slot.index);
   cb(Block(this, offset, bytes));
 }
 
 void Mmu::deliver(std::size_t offset, std::size_t bytes, Grant on_grant,
                   const void* owner) {
   ++alloc_count_;
-  const std::uint32_t slot =
-      acquire_grant(offset, bytes, std::move(on_grant), owner);
-  auto fire = [this, slot, generation = grants_[slot].generation] {
-    fire_grant(slot, generation);
-  };
+  const sim::SlotHandle slot = grants_.acquire();
+  grants_[slot.index] = GrantSlot{offset, bytes, std::move(on_grant), owner};
+  auto fire = [this, slot] { fire_grant(slot); };
   if (pump_batching_) {
     pump_batch_.add(std::move(fire));
   } else {
@@ -226,12 +194,11 @@ std::size_t Mmu::discard_pending() {
   // The arena range stays carved (teardown only). Destroying a callback can
   // release blocks and pump new grants into the pool, so iterate by index
   // and let the caller loop to a fixed point.
-  for (std::size_t slot = 0; slot < grants_.size(); ++slot) {
-    if (!grants_[slot].live) continue;
+  grants_.for_each_live([&](std::uint32_t slot) {
     Grant doomed = std::move(grants_[slot].on_grant);
-    retire_grant(static_cast<std::uint32_t>(slot));
+    grants_.retire(slot);
     ++n;
-  }
+  });
   return n;
 }
 
@@ -251,16 +218,14 @@ std::size_t Mmu::cancel_owner(const void* owner) {
       ++it;
     }
   }
-  for (std::size_t slot = 0; slot < grants_.size(); ++slot) {
+  grants_.for_each_live([&](std::uint32_t slot) {
     GrantSlot& g = grants_[slot];
-    if (!g.live || g.owner != owner) continue;
-    const std::size_t offset = g.offset;
-    const std::size_t bytes = g.bytes;
+    if (g.owner != owner) return;
     doomed.push_back(std::move(g.on_grant));
-    retire_grant(static_cast<std::uint32_t>(slot));
-    release_range(offset, bytes);
+    grants_.retire(slot);
+    release_range(g.offset, g.bytes);
     ++n;
-  }
+  });
   if (n > 0) pump();
   return n;  // `doomed` destructs here; nested pumps are safe now.
 }

@@ -19,6 +19,7 @@
 
 #include "obs/timeline.h"
 #include "sim/simulation.h"
+#include "sim/slot_pool.h"
 #include "sim/stats.h"
 #include "sim/time.h"
 #include "sim/unique_function.h"
@@ -172,20 +173,15 @@ class Mmu {
     const void* owner = nullptr;
   };
   /// A granted-but-not-yet-delivered allocation parked in the grant pool.
-  /// The event scheduled by deliver() captures only {this, slot, generation}
-  /// (inline in UniqueFunction's small buffer), so granting never allocates;
-  /// the generation tag keeps an event for a discarded grant from touching a
-  /// reused slot.
+  /// The event scheduled by deliver() captures only {this, handle}, so
+  /// granting never allocates; the handle's generation keeps an event for a
+  /// discarded grant from touching a reused slot.
   struct GrantSlot {
     std::size_t offset = 0;
     std::size_t bytes = 0;
     Grant on_grant;
     const void* owner = nullptr;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = kFreeListEnd;
-    bool live = false;
   };
-  static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
 
   /// Carves `bytes` from the free list; nullopt if no range fits.
   std::optional<std::size_t> carve(std::size_t bytes);
@@ -196,10 +192,7 @@ class Mmu {
   void pump();
   void deliver(std::size_t offset, std::size_t bytes, Grant on_grant,
                const void* owner);
-  std::uint32_t acquire_grant(std::size_t offset, std::size_t bytes,
-                              Grant on_grant, const void* owner);
-  void fire_grant(std::uint32_t slot, std::uint32_t generation);
-  void retire_grant(std::uint32_t slot);
+  void fire_grant(sim::SlotHandle slot);
 
   sim::Simulation& sim_;
   std::size_t capacity_;
@@ -212,8 +205,7 @@ class Mmu {
   obs::Distribution* grant_latency_ = nullptr;
   std::vector<FreeRange> free_;  // sorted by offset, coalesced
   std::deque<Pending> queue_;
-  std::vector<GrantSlot> grants_;
-  std::uint32_t grant_free_ = kFreeListEnd;
+  sim::SlotPool<GrantSlot> grants_;
   /// While pump() scans, deliver() appends grant events here instead of
   /// scheduling them one by one; the scan commits the batch in one insert.
   sim::EventBatch pump_batch_;

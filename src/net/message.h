@@ -46,6 +46,11 @@ struct Message {
   std::uint32_t incarnation = 0;
   /// Fault-mode resend attempts already made for this logical message.
   std::uint16_t attempts = 0;
+  /// True when no source buffer backs the payload, so it rides as
+  /// accounting only: a fault resend, or a reply the comm layer injects on
+  /// a process's behalf. Every other send stages its payload in the source
+  /// node's memory first.
+  bool unstaged = false;
 };
 
 }  // namespace tmc::net

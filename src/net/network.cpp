@@ -13,36 +13,23 @@ sim::SimTime transfer_time(const NetworkParams& p, std::size_t payload_bytes) {
          p.per_byte * static_cast<std::int64_t>(payload_bytes + p.header_bytes);
 }
 
-std::vector<Link> make_links(const Topology& topo) {
-  return std::vector<Link>(static_cast<std::size_t>(topo.link_count()));
-}
+}  // namespace
 
-void check_mmus(const Topology& topo, const std::vector<mem::Mmu*>& mmus) {
-  if (static_cast<int>(mmus.size()) != topo.node_count()) {
+Network::Network(sim::Simulation& sim, const Topology& topo,
+                 std::vector<mem::Mmu*> mmus, NetworkParams params)
+    : sim_(sim),
+      routing_(topo),
+      mmus_(std::move(mmus)),
+      params_(params),
+      links_(static_cast<std::size_t>(topo.link_count())) {
+  if (static_cast<int>(mmus_.size()) != topo.node_count()) {
     throw std::invalid_argument("network needs one MMU per node");
   }
 }
 
-}  // namespace
-
-StoreForwardNetwork::StoreForwardNetwork(sim::Simulation& sim,
-                                         const Topology& topo,
-                                         std::vector<mem::Mmu*> mmus,
-                                         NetworkParams params)
-    : sim_(sim),
-      topo_(topo),
-      routing_(topo),
-      mmus_(std::move(mmus)),
-      params_(params),
-      links_(make_links(topo)) {
-  check_mmus(topo_, mmus_);
-}
-
 void StoreForwardNetwork::send(Message msg, mem::Block payload) {
-  // Fault-mode resends carry no staged source buffer (the staging copy is
-  // not re-modelled on retransmit); reliable runs always provide one.
-  assert((payload.valid() || fault_ != nullptr) &&
-         "sender must provide the source buffer");
+  assert((payload.valid() || msg.unstaged) &&
+         "only an unstaged message may come without a source buffer");
   if (drop_at_injection(msg)) return;
   ++messages_;
   payload_bytes_ += msg.bytes;
@@ -189,59 +176,17 @@ double StoreForwardNetwork::max_link_utilization(sim::SimTime now) const {
 WormholeNetwork::WormholeNetwork(sim::Simulation& sim, const Topology& topo,
                                  std::vector<mem::Mmu*> mmus,
                                  NetworkParams params)
-    : sim_(sim),
-      topo_(topo),
-      routing_(topo),
-      mmus_(std::move(mmus)),
-      params_(params),
-      links_(make_links(topo)) {
-  check_mmus(topo_, mmus_);
+    : Network(sim, topo, std::move(mmus), params) {
   // Per-topology reservation: the in-flight population is bounded by
   // concurrent sends, which scale with node count; four slots per node
   // covers the paper's workloads without regrowth.
-  reserve_worms(std::max<std::size_t>(
+  worms_.reserve(std::max<std::size_t>(
       64, static_cast<std::size_t>(topo.node_count()) * 4));
 }
 
-void WormholeNetwork::reserve_worms(std::size_t capacity) {
-  worms_.reserve(capacity);
-}
-
-std::uint32_t WormholeNetwork::acquire_worm(const Message& msg,
-                                            mem::Block payload) {
-  std::uint32_t index;
-  if (worm_free_ != kFreeListEnd) {
-    index = worm_free_;
-    worm_free_ = worms_[index].next_free;
-  } else {
-    if (worms_.size() == worms_.capacity()) {
-      ++pool_growths_;
-      reserve_worms(worms_.capacity() * 2);
-    }
-    index = static_cast<std::uint32_t>(worms_.size());
-    worms_.emplace_back();
-  }
-  Worm& w = worms_[index];
-  w.msg = msg;
-  w.src = std::move(payload);
-  w.hop_count = 0;
-  w.live = true;
-  ++live_worms_;
-  peak_worms_ = std::max(peak_worms_, live_worms_);
-  return index;
-}
-
-void WormholeNetwork::release_worm(std::uint32_t index) {
-  Worm& w = worms_[index];
-  w.live = false;
-  ++w.generation;
-  w.next_free = worm_free_;
-  worm_free_ = index;
-  --live_worms_;
-}
-
 void WormholeNetwork::send(Message msg, mem::Block payload) {
-  assert(payload.valid() || fault_ != nullptr);
+  assert((payload.valid() || msg.unstaged) &&
+         "only an unstaged message may come without a source buffer");
   if (drop_at_injection(msg)) return;
   ++messages_;
   payload_bytes_ += msg.bytes;
@@ -292,21 +237,19 @@ void WormholeNetwork::launch(Message msg, mem::Block payload) {
   // The worm slot is taken before the destination-buffer request so the
   // source payload has a stable home while the message waits on memory
   // pressure; parked messages above hold no slot.
-  const std::uint32_t index = acquire_worm(msg, std::move(payload));
-  const std::uint32_t generation = worms_[index].generation;
+  const sim::SlotHandle worm = worms_.acquire();
+  worms_[worm.index] = Worm{msg, std::move(payload), mem::Block{}};
   // Only the destination buffers the message; intermediate nodes hold at
   // most a flit, which we do not charge against their memory.
   mmus_[static_cast<std::size_t>(msg.dst_node)]->request(
-      msg.bytes + params_.header_bytes,
-      [this, index, generation](mem::Block dst_buf) {
-        transmit(index, generation, std::move(dst_buf));
+      msg.bytes + params_.header_bytes, [this, worm](mem::Block dst_buf) {
+        transmit(worm, std::move(dst_buf));
       });
 }
 
-void WormholeNetwork::transmit(std::uint32_t index, std::uint32_t generation,
-                               mem::Block dst) {
-  Worm& w = worms_[index];
-  assert(w.live && w.generation == generation);
+void WormholeNetwork::transmit(sim::SlotHandle worm, mem::Block dst) {
+  assert(worms_.live(worm));
+  Worm& w = worms_[worm.index];
   w.dst = std::move(dst);
   const Message& msg = w.msg;
 
@@ -319,7 +262,6 @@ void WormholeNetwork::transmit(std::uint32_t index, std::uint32_t generation,
   for (const LinkId id : path) {
     start = std::max(start, links_[static_cast<std::size_t>(id)].busy_until());
   }
-  w.hop_count = static_cast<std::uint16_t>(hops);
 
   // Pipelined duration: header worms through each router, payload streams
   // behind it. Single virtual channel: the whole path is held for the
@@ -337,22 +279,19 @@ void WormholeNetwork::transmit(std::uint32_t index, std::uint32_t generation,
   }
   hops_ += static_cast<std::uint64_t>(hops);
 
-  sim_.schedule_at(done, [this, index, generation] {
-    complete(index, generation);
-  });
+  sim_.schedule_at(done, [this, worm] { complete(worm); });
 }
 
-void WormholeNetwork::complete(std::uint32_t index, std::uint32_t generation) {
-  Worm& w = worms_[index];
-  assert(w.live && w.generation == generation);
-  (void)generation;
+void WormholeNetwork::complete(sim::SlotHandle worm) {
+  assert(worms_.live(worm));
+  Worm& w = worms_[worm.index];
   ++delivered_;
   w.src.release();
   const Message msg = w.msg;
   mem::Block dst = std::move(w.dst);
   // Tail flit has left the path: the slot is free before delivery runs, so
   // a send triggered by this delivery can reuse it without growing the pool.
-  release_worm(index);
+  worms_.retire(worm.index);
   if (hop_hook_) hop_hook_(msg.dst_node, msg, msg.bytes);
   deliver_(msg, std::move(dst));
 }

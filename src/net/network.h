@@ -31,6 +31,7 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/simulation.h"
+#include "sim/slot_pool.h"
 
 namespace tmc::net {
 
@@ -65,7 +66,8 @@ class FaultPlane {
   virtual bool should_drop(const Message& msg) = 0;
 };
 
-/// Common interface of the transport engines.
+/// Common interface and state of the transport engines: the machine's
+/// wiring, its router, one MMU per node and one Link per directed edge.
 class Network {
  public:
   /// Invoked at the destination node with the message and the buffer that
@@ -130,16 +132,21 @@ class Network {
 
   /// Injects a message. `payload` is the buffer already allocated at the
   /// source node by the sender (self-sends are delivered from this buffer,
-  /// passing through the same buffered-mailbox path as remote sends).
+  /// passing through the same buffered-mailbox path as remote sends). Only
+  /// a message marked `unstaged` may come without one.
   virtual void send(Message msg, mem::Block payload) = 0;
 
-  /// Per-link accessors (both engines own one Link per directed edge).
-  [[nodiscard]] virtual const Link& link(LinkId id) const = 0;
-  [[nodiscard]] virtual int link_count() const = 0;
+  /// Per-link accessors (one Link per directed edge).
+  [[nodiscard]] const Link& link(LinkId id) const {
+    return links_.at(static_cast<std::size_t>(id));
+  }
+  [[nodiscard]] int link_count() const {
+    return static_cast<int>(links_.size());
+  }
 
-  /// The router pricing this network's shortest paths (both engines own
-  /// one; distance queries drive e.g. nearest-victim steal selection).
-  [[nodiscard]] virtual const Router& routing() const = 0;
+  /// The router pricing this network's shortest paths (distance queries
+  /// drive e.g. nearest-victim steal selection).
+  [[nodiscard]] const Router& routing() const { return routing_; }
 
   // --- statistics ------------------------------------------------------
   [[nodiscard]] std::uint64_t messages_sent() const { return messages_; }
@@ -152,6 +159,11 @@ class Network {
   [[nodiscard]] virtual std::size_t parked_messages() const { return 0; }
 
  protected:
+  /// `mmus[i]` is node i's allocator; must outlive the network. Throws
+  /// std::invalid_argument unless there is one MMU per node.
+  Network(sim::Simulation& sim, const Topology& topo,
+          std::vector<mem::Mmu*> mmus, NetworkParams params);
+
   /// Drops `msg` at injection time if the fault plane says so, reporting
   /// the loss to the comm layer. The payload is released by the caller
   /// returning (RAII).
@@ -176,6 +188,11 @@ class Network {
     }
   }
 
+  sim::Simulation& sim_;
+  Router routing_;
+  std::vector<mem::Mmu*> mmus_;
+  NetworkParams params_;
+  std::vector<Link> links_;
   DeliveryHandler deliver_;
   HopHook hop_hook_;
   ProgressGate gate_;
@@ -196,20 +213,13 @@ class Network {
 /// Store-and-forward engine (the Transputer's switching mode).
 class StoreForwardNetwork final : public Network {
  public:
-  /// `mmus[i]` is node i's allocator; must outlive the network.
   StoreForwardNetwork(sim::Simulation& sim, const Topology& topo,
-                      std::vector<mem::Mmu*> mmus, NetworkParams params = {});
+                      std::vector<mem::Mmu*> mmus, NetworkParams params = {})
+      : Network(sim, topo, std::move(mmus), params) {}
 
   void send(Message msg, mem::Block payload) override;
   void kick() override;
 
-  [[nodiscard]] const Router& routing() const { return routing_; }
-  [[nodiscard]] const Link& link(LinkId id) const override {
-    return links_.at(static_cast<std::size_t>(id));
-  }
-  [[nodiscard]] int link_count() const override {
-    return static_cast<int>(links_.size());
-  }
   /// Highest utilisation over all links at time `now`.
   [[nodiscard]] double max_link_utilization(sim::SimTime now) const;
   [[nodiscard]] std::size_t parked_messages() const override {
@@ -243,28 +253,21 @@ class StoreForwardNetwork final : public Network {
   void arrive_fragment(const Message& msg, mem::Block held);
   void try_finish_reassembly(std::uint64_t id);
 
-  sim::Simulation& sim_;
-  const Topology& topo_;
-  Router routing_;
-  std::vector<mem::Mmu*> mmus_;
-  NetworkParams params_;
-  std::vector<Link> links_;
   std::vector<Parked> parked_;
   std::unordered_map<std::uint64_t, Reassembly> reassembly_;
 };
 
 /// Wormhole-routed engine (paper's suggested improvement; bench A2).
 ///
-/// In-flight state lives in a generation-tagged slot pool: each message
-/// occupies one Worm slot holding its Message, source payload, destination
-/// buffer and the hop count of the path whose channels it occupies (the link
-/// ids themselves are static per (src, dst) and are recomputed closed-form
-/// into a reused scratch vector at transmit time). The pool is pre-reserved
-/// per topology, a
-/// worm's slot is released in O(1) when its tail flit leaves the path, and
-/// every callback on the advance path captures only {this, slot, generation}
-/// -- inline in UniqueFunction's small buffer -- so launching, transmitting
-/// and completing a message perform zero heap allocations once warm.
+/// In-flight state lives in a sim::SlotPool: each message occupies one Worm
+/// slot holding its Message, source payload and destination buffer (the
+/// link ids of its path are static per (src, dst) and are recomputed
+/// closed-form into a reused scratch vector at transmit time). The pool is
+/// pre-reserved per topology, a worm's slot is released in O(1) when its
+/// tail flit leaves the path, and every callback on the advance path
+/// captures only {this, handle} -- inline in UniqueFunction's small buffer
+/// -- so launching, transmitting and completing a message perform zero heap
+/// allocations once warm.
 class WormholeNetwork final : public Network {
  public:
   WormholeNetwork(sim::Simulation& sim, const Topology& topo,
@@ -273,26 +276,22 @@ class WormholeNetwork final : public Network {
   void send(Message msg, mem::Block payload) override;
   void kick() override;
 
-  [[nodiscard]] const Router& routing() const { return routing_; }
-  [[nodiscard]] const Link& link(LinkId id) const override {
-    return links_.at(static_cast<std::size_t>(id));
-  }
-  [[nodiscard]] int link_count() const override {
-    return static_cast<int>(links_.size());
-  }
-
   // --- pool observability (tests, perf gates) ---------------------------
   /// Worm slots currently occupied (messages between launch and tail-flit
   /// departure; parked and self-send messages hold no slot).
-  [[nodiscard]] std::size_t worms_in_flight() const { return live_worms_; }
-  [[nodiscard]] std::size_t peak_worms_in_flight() const { return peak_worms_; }
+  [[nodiscard]] std::size_t worms_in_flight() const {
+    return worms_.live_count();
+  }
+  [[nodiscard]] std::size_t peak_worms_in_flight() const {
+    return worms_.peak_live();
+  }
   /// Slots the pool can hold without regrowing.
   [[nodiscard]] std::size_t worm_pool_capacity() const {
     return worms_.capacity();
   }
   /// Times the pool had to regrow beyond the per-topology reservation.
   [[nodiscard]] std::uint64_t worm_pool_growths() const {
-    return pool_growths_;
+    return worms_.growths();
   }
   [[nodiscard]] std::size_t parked_messages() const override {
     return parked_.size();
@@ -308,36 +307,15 @@ class WormholeNetwork final : public Network {
     Message msg;
     mem::Block src;  // source payload, released on tail-flit departure
     mem::Block dst;  // destination buffer, handed to delivery
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = kFreeListEnd;
-    std::uint16_t hop_count = 0;
-    bool live = false;
   };
-  static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
-
-  /// Grows the pool to `capacity` slots.
-  void reserve_worms(std::size_t capacity);
-  std::uint32_t acquire_worm(const Message& msg, mem::Block payload);
-  /// O(1): bumps the generation and pushes the slot on the free list.
-  void release_worm(std::uint32_t index);
 
   void launch(Message msg, mem::Block payload);
-  void transmit(std::uint32_t index, std::uint32_t generation, mem::Block dst);
-  void complete(std::uint32_t index, std::uint32_t generation);
+  void transmit(sim::SlotHandle worm, mem::Block dst);
+  void complete(sim::SlotHandle worm);
 
-  sim::Simulation& sim_;
-  const Topology& topo_;
-  Router routing_;
-  std::vector<mem::Mmu*> mmus_;
-  NetworkParams params_;
-  std::vector<Link> links_;
   /// Reused by transmit() for the closed-form link path (no allocation warm).
   std::vector<LinkId> path_scratch_;
-  std::vector<Worm> worms_;
-  std::uint32_t worm_free_ = kFreeListEnd;
-  std::size_t live_worms_ = 0;
-  std::size_t peak_worms_ = 0;
-  std::uint64_t pool_growths_ = 0;
+  sim::SlotPool<Worm> worms_;
   std::vector<Pending> parked_;
   /// kick() drains parked_ through this scratch so the per-gang-turn retry
   /// reuses capacity instead of allocating a fresh vector.

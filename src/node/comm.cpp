@@ -164,16 +164,17 @@ void CommSystem::resend(net::Message msg) {
   }
   // The staging copy is not re-modelled: the retransmit daemon resends from
   // the original transit buffer, so the payload rides as accounting only.
+  msg.unstaged = true;
   network_.send(msg, mem::Block{});
 }
 
 void CommSystem::inject(Process& src, net::EndpointId dst, int tag,
                         std::size_t bytes) {
-  send_from(src, SendOp{dst, tag, bytes}, mem::Block{});
+  send_from(src, SendOp{dst, tag, bytes}, mem::Block{}, /*unstaged=*/true);
 }
 
 void CommSystem::send_from(Process& src, const SendOp& op,
-                           mem::Block payload) {
+                           mem::Block payload, bool unstaged) {
   Process* dst = find(op.dst);
   if (dst == nullptr) {
     if (fault_ != nullptr) {
@@ -194,6 +195,7 @@ void CommSystem::send_from(Process& src, const SendOp& op,
   msg.job = src.job();
   msg.tag = op.tag;
   msg.bytes = op.bytes;
+  msg.unstaged = unstaged;
   if (fault_ != nullptr) {
     msg.incarnation = incarnation(static_cast<JobId>(msg.job));
   }
@@ -208,41 +210,15 @@ void CommSystem::send_from(Process& src, const SendOp& op,
   network_.send(msg, std::move(payload));
 }
 
-std::uint32_t CommSystem::acquire_delivery(const net::Message& msg,
-                                           mem::Block buffer, Process* dst) {
-  std::uint32_t slot;
-  if (delivery_free_ != kFreeListEnd) {
-    slot = delivery_free_;
-    delivery_free_ = delivery_pool_[slot].next_free;
-  } else {
-    if (delivery_pool_.size() == delivery_pool_.capacity()) {
-      delivery_pool_.reserve(
-          std::max<std::size_t>(16, delivery_pool_.size() * 2));
-    }
-    slot = static_cast<std::uint32_t>(delivery_pool_.size());
-    delivery_pool_.emplace_back();
-  }
-  DeliverySlot& d = delivery_pool_[slot];
-  d.msg = msg;
-  d.buffer = std::move(buffer);
-  d.dst = dst;
-  d.live = true;
-  return slot;
-}
-
-void CommSystem::finish_delivery(std::uint32_t slot, std::uint32_t generation) {
-  DeliverySlot& d = delivery_pool_[slot];
-  assert(d.live && d.generation == generation);
-  (void)generation;
+void CommSystem::finish_delivery(sim::SlotHandle slot) {
+  assert(delivery_pool_.live(slot));
+  DeliverySlot& d = delivery_pool_[slot.index];
   const net::Message msg = d.msg;
   mem::Block buffer = std::move(d.buffer);
   Process* dst = d.dst;
   // Retire before delivering: the deposit can wake the receiver, whose next
   // receive can trigger another delivery that reuses this slot.
-  d.live = false;
-  ++d.generation;
-  d.next_free = delivery_free_;
-  delivery_free_ = slot;
+  delivery_pool_.retire(slot.index);
   if (fault_ != nullptr) {
     // The job can be aborted (or the node can die) during the deposit CPU
     // charge: re-resolve the endpoint and re-check liveness before touching
@@ -292,12 +268,10 @@ void CommSystem::on_delivery(const net::Message& msg, mem::Block buffer) {
   }
   ++deliveries_;
   Transputer* cpu = cpus_[static_cast<std::size_t>(dst->node())];
-  const std::uint32_t slot = acquire_delivery(msg, std::move(buffer), dst);
-  cpu->post_service(
-      params_.delivery_cpu,
-      [this, slot, generation = delivery_pool_[slot].generation] {
-        finish_delivery(slot, generation);
-      });
+  const sim::SlotHandle slot = delivery_pool_.acquire();
+  delivery_pool_[slot.index] = DeliverySlot{msg, std::move(buffer), dst};
+  cpu->post_service(params_.delivery_cpu,
+                    [this, slot] { finish_delivery(slot); });
 }
 
 }  // namespace tmc::node

@@ -21,6 +21,7 @@
 #include "node/transputer.h"
 #include "obs/timeline.h"
 #include "sim/simulation.h"
+#include "sim/slot_pool.h"
 
 namespace tmc::node {
 
@@ -148,24 +149,20 @@ class CommSystem {
 
  private:
   /// A delivered message parked while the destination CPU charges the
-  /// mailbox-deposit cost. Pool-indexed (like the wormhole's worm slots) so
-  /// the daemon work item captures only {this, slot, generation} inline --
-  /// deliveries allocate nothing once the pool is warm.
+  /// mailbox-deposit cost. Pooled so the daemon work item captures only
+  /// {this, handle} inline -- deliveries allocate nothing once the pool is
+  /// warm.
   struct DeliverySlot {
     net::Message msg;
     mem::Block buffer;
     Process* dst = nullptr;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = kFreeListEnd;
-    bool live = false;
   };
-  static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
 
-  void send_from(Process& src, const SendOp& op, mem::Block payload);
+  /// `unstaged` marks a send with no source buffer (see net::Message).
+  void send_from(Process& src, const SendOp& op, mem::Block payload,
+                 bool unstaged = false);
   void on_delivery(const net::Message& msg, mem::Block buffer);
-  std::uint32_t acquire_delivery(const net::Message& msg, mem::Block buffer,
-                                 Process* dst);
-  void finish_delivery(std::uint32_t slot, std::uint32_t generation);
+  void finish_delivery(sim::SlotHandle slot);
   [[nodiscard]] std::uint32_t incarnation(JobId job) const {
     return job < incarnations_.size() ? incarnations_[job] : 0;
   }
@@ -200,8 +197,7 @@ class CommSystem {
   /// vector with linear membership checks never allocates once warm, where
   /// a node-based set paid an allocation per suspension.
   std::vector<JobId> suspended_jobs_;
-  std::vector<DeliverySlot> delivery_pool_;
-  std::uint32_t delivery_free_ = kFreeListEnd;
+  sim::SlotPool<DeliverySlot> delivery_pool_;
   net::FaultPlane* fault_ = nullptr;
   int retry_budget_ = 0;
   sim::SimTime retry_backoff_;

@@ -6,40 +6,28 @@
 
 namespace tmc::sim {
 
-std::uint32_t EventQueue::acquire_slot(Callback cb) {
-  std::uint32_t index;
-  if (free_head_ != kFreeListEnd) {
-    index = free_head_;
-    free_head_ = slots_[index].next_free;
-  } else {
-    if (slots_.size() == slots_.capacity()) {
-      // One queue serves a whole simulation and routinely holds thousands of
-      // pending events; sizing the pool up front (and doubling after that)
-      // keeps slot relocation off the schedule hot path.
-      slots_.reserve(std::max<std::size_t>(kInitialSlots, slots_.size() * 2));
-      heap_.reserve(slots_.capacity());
-    }
-    index = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  }
-  Slot& slot = slots_[index];
+SlotHandle EventQueue::acquire_slot(Callback cb) {
+  // One queue serves a whole simulation and routinely holds thousands of
+  // pending events; the pool reserves kInitialSlots up front and doubles
+  // after that, and the heap array follows it, so neither relocates on the
+  // schedule hot path.
+  const SlotHandle handle = slots_.acquire(
+      [this](std::size_t capacity) { heap_.reserve(capacity); });
+  Slot& slot = slots_[handle.index];
   slot.callback = std::move(cb);
-  slot.live = true;
-  return index;
+  slot.stepped = false;
+  return handle;
 }
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
-  const std::uint32_t index = acquire_slot(std::move(cb));
-  Slot& slot = slots_[index];
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
+  const SlotHandle slot = acquire_slot(std::move(cb));
   if (fifo_eligible(at)) {
-    now_fifo_.push_back(Entry{at, ++scheduled_, index, slot.generation});
+    now_fifo_.push_back(Entry{at, ++scheduled_, slot});
   } else {
-    heap_.push_back(Entry{at, ++scheduled_, index, slot.generation});
+    heap_.push_back(Entry{at, ++scheduled_, slot});
     sift_up(heap_.size() - 1);
   }
-  return make_id(index, slot.generation);
+  return make_id(slot);
 }
 
 std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
@@ -52,18 +40,15 @@ std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
   // the FIFO lane and never touches the heap.
   const bool fast = fifo_eligible(at);
   for (std::size_t i = 0; i < k; ++i) {
-    const std::uint32_t index = acquire_slot(std::move(cbs[i]));
-    const Slot& slot = slots_[index];
-    const Entry entry{at, ++scheduled_, index, slot.generation};
+    const SlotHandle slot = acquire_slot(std::move(cbs[i]));
+    const Entry entry{at, ++scheduled_, slot};
     if (fast) {
       now_fifo_.push_back(entry);
     } else {
       heap_.push_back(entry);
     }
-    if (ids != nullptr) ids[i] = make_id(index, slot.generation);
+    if (ids != nullptr) ids[i] = make_id(slot);
   }
-  live_ += k;
-  if (live_ > peak_live_) peak_live_ = live_;
   if (fast) return k;
   // The first heap_.size()-k elements still satisfy the heap property, so a
   // small batch sifts each appended entry up (O(k log n)); a batch that
@@ -81,82 +66,52 @@ EventId EventQueue::schedule_stepped(SimTime first, SimTime step,
                                      SimTime deadline, Callback cb) {
   assert(step > SimTime::zero() && "a stepped event must advance");
   assert(first <= deadline);
-  const std::uint32_t index = acquire_slot(std::move(cb));
-  Slot& slot = slots_[index];
-  slot.stepped = true;
-  if (index >= stepping_.size()) stepping_.resize(slots_.size());
-  stepping_[index] = Stepping{first, step, deadline};
-  ++live_;
-  if (live_ > peak_live_) peak_live_ = live_;
+  const SlotHandle slot = acquire_slot(std::move(cb));
+  slots_[slot.index].stepped = true;
+  if (slot.index >= stepping_.size()) stepping_.resize(slots_.size());
+  stepping_[slot.index] = Stepping{first, step, deadline};
   // Always the heap, never the same-instant lane: only a heap top is ever
   // re-keyed. Pop merges the two fronts under (time, seq), so the order is
   // exact either way.
-  heap_.push_back(Entry{first, ++scheduled_, index, slot.generation});
+  heap_.push_back(Entry{first, ++scheduled_, slot});
   sift_up(heap_.size() - 1);
-  return make_id(index, slot.generation);
-}
-
-std::uint32_t EventQueue::live_index(EventId id) const {
-  const auto low = static_cast<std::uint32_t>(id & 0xffffffffu);
-  if (low == 0) return kFreeListEnd;  // kNoEvent or malformed
-  const std::uint32_t index = low - 1;
-  if (index >= slots_.size()) return kFreeListEnd;
-  const Slot& slot = slots_[index];
-  if (!slot.live || slot.generation != static_cast<std::uint32_t>(id >> 32)) {
-    return kFreeListEnd;  // already fired/cancelled, or a stale handle
-  }
-  return index;
+  return make_id(slot);
 }
 
 bool EventQueue::truncate(EventId id) {
-  const std::uint32_t index = live_index(id);
-  if (index == kFreeListEnd || !slots_[index].stepped) return false;
-  stepping_[index].deadline = stepping_[index].key;
+  if (!pending_stepped(id)) return false;
+  Stepping& stepping = stepping_[slot_of(id).index];
+  stepping.deadline = stepping.key;
   return true;
 }
 
 SimTime EventQueue::pending_time(EventId id) const {
-  const std::uint32_t index = live_index(id);
-  assert(index != kFreeListEnd && slots_[index].stepped &&
+  assert(pending_stepped(id) &&
          "pending_time() of a non-pending or plain event");
-  return stepping_[index].key;
+  return stepping_[slot_of(id).index].key;
 }
 
 bool EventQueue::cancel(EventId id) {
-  const std::uint32_t index = live_index(id);
-  if (index == kFreeListEnd) return false;
+  if (!pending(id)) return false;
+  const SlotHandle slot = slot_of(id);
   // Destroying the callback can release resources whose teardown re-enters
   // schedule() (and may grow slots_); move it out and finish all bookkeeping
   // before the destructor runs at return.
-  Callback doomed = std::move(slots_[index].callback);
-  retire_slot(index);
+  Callback doomed = std::move(slots_[slot.index].callback);
+  slots_.retire(slot.index);
   return true;
-}
-
-void EventQueue::retire_slot(std::uint32_t index) {
-  Slot& slot = slots_[index];
-  slot.live = false;
-  slot.stepped = false;
-  ++slot.generation;
-  slot.next_free = free_head_;
-  free_head_ = index;
-  --live_;
 }
 
 void EventQueue::drop_stale_top() const {
   while (!heap_.empty()) {
-    const Entry& top = heap_.front();
-    const Slot& slot = slots_[top.slot];
-    if (slot.live && slot.generation == top.generation) return;
+    if (slots_.live(heap_.front().slot)) return;
     pop_top();
   }
 }
 
 void EventQueue::drop_stale_fifo() const {
   while (now_head_ < now_fifo_.size()) {
-    const Entry& e = now_fifo_[now_head_];
-    const Slot& slot = slots_[e.slot];
-    if (slot.live && slot.generation == e.generation) return;
+    if (slots_.live(now_fifo_[now_head_].slot)) return;
     ++now_head_;
   }
   // Fully drained: rewind so the lane's storage is reused, not grown.
@@ -179,8 +134,8 @@ SimTime EventQueue::next_time() const {
 
 bool EventQueue::step_top() {
   Entry& top = heap_.front();
-  if (!slots_[top.slot].stepped) return false;
-  Stepping& stepping = stepping_[top.slot];
+  if (!slots_[top.slot.index].stepped) return false;
+  Stepping& stepping = stepping_[top.slot.index];
   if (top.time >= stepping.deadline) return false;  // due: fire it
   // Exactly what the eager chain does here: its callback pops at this key
   // and re-schedules one step on, drawing the next sequence number.
@@ -196,9 +151,9 @@ bool EventQueue::step_top() {
 EventQueue::Fired EventQueue::pop_fifo_front() {
   const Entry e = now_fifo_[now_head_++];
   current_ = e.time;
-  Fired fired{e.time, make_id(e.slot, e.generation),
-              std::move(slots_[e.slot].callback)};
-  retire_slot(e.slot);
+  Fired fired{e.time, make_id(e.slot),
+              std::move(slots_[e.slot.index].callback)};
+  slots_.retire(e.slot.index);
   return fired;
 }
 
@@ -206,9 +161,9 @@ EventQueue::Fired EventQueue::pop_heap_top() {
   const Entry top = heap_.front();
   pop_top();
   current_ = top.time;
-  Fired fired{top.time, make_id(top.slot, top.generation),
-              std::move(slots_[top.slot].callback)};
-  retire_slot(top.slot);
+  Fired fired{top.time, make_id(top.slot),
+              std::move(slots_[top.slot.index].callback)};
+  slots_.retire(top.slot.index);
   return fired;
 }
 

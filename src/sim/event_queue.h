@@ -6,6 +6,7 @@
 #include <span>
 #include <vector>
 
+#include "sim/slot_pool.h"
 #include "sim/time.h"
 #include "sim/unique_function.h"
 
@@ -23,13 +24,13 @@ inline constexpr EventId kNoEvent = 0;
 /// they were scheduled. Cancellation is O(1) (lazy deletion on pop).
 ///
 /// Implementation: a 4-ary min-heap of (time, sequence) keys over a
-/// generation-tagged slot pool that stores the callbacks inline. The hot
-/// schedule/pop path touches only the heap array and one pool slot -- no
-/// hashing anywhere -- and with UniqueFunction's small-buffer storage a
-/// typical event never allocates. A handle encodes (slot, generation);
-/// cancel() destroys the callback and retires the slot immediately, leaving
-/// the heap entry to be skipped when it surfaces (the generation tag
-/// detects staleness even after the slot has been reused).
+/// SlotPool that stores the callbacks inline. The hot schedule/pop path
+/// touches only the heap array and one pool slot -- no hashing anywhere --
+/// and with UniqueFunction's small-buffer storage a typical event never
+/// allocates. An EventId encodes the slot's SlotHandle; cancel() destroys
+/// the callback and retires the slot immediately, leaving the heap entry to
+/// be skipped when it surfaces (the generation tag detects staleness even
+/// after the slot has been reused).
 ///
 /// Same-instant fast lane: an event scheduled for exactly the time of the
 /// most recently popped event (a zero-delay cascade -- dispatch pumps,
@@ -103,8 +104,8 @@ class EventQueue {
   /// was already cancelled, or the id was never issued.
   bool cancel(EventId id);
 
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_; }
+  [[nodiscard]] bool empty() const { return slots_.live_count() == 0; }
+  [[nodiscard]] std::size_t size() const { return slots_.live_count(); }
 
   /// Time of the earliest pending event; for a stepped event, its next
   /// surfacing. Must not be called when empty.
@@ -139,7 +140,7 @@ class EventQueue {
   [[nodiscard]] SimTime current_time() const { return current_; }
 
   /// High-water mark of the pending set (kernel self-profile: heap depth).
-  [[nodiscard]] std::size_t peak_size() const { return peak_live_; }
+  [[nodiscard]] std::size_t peak_size() const { return slots_.peak_live(); }
 
   /// Destroys all pending events without firing them (a stepped event is
   /// dropped whole, without walking its steps). Destroying a callback
@@ -151,16 +152,15 @@ class EventQueue {
   struct Entry {
     SimTime time;
     std::uint64_t seq;  // global schedule order: the FIFO tie-break
-    std::uint32_t slot;
-    std::uint32_t generation;
+    SlotHandle slot;
   };
   struct Slot {
     Callback callback;
-    std::uint32_t generation = 0;
-    std::uint32_t next_free = kFreeListEnd;
-    bool live = false;
     bool stepped = false;  // its schedule lives in stepping_[slot index]
   };
+  // One pending event is 80 bytes: the callback, its stepped flag and the
+  // pool's generation and free-list words.
+  static_assert(SlotPool<Slot>::kSlotBytes == 80);
   /// Schedule of a stepped event, kept beside the slot pool (indexed like
   /// it) so plain events do not pay for it.
   struct Stepping {
@@ -168,17 +168,21 @@ class EventQueue {
     SimTime step;
     SimTime deadline;
   };
-  static constexpr std::uint32_t kFreeListEnd = 0xffffffffu;
   /// Slot-pool capacity reserved on first use (~380 KB with the heap array).
   /// One queue serves a whole simulated machine, so this is paid once per
   /// simulation; it covers the pending-set peaks the paper's experiments
   /// reach so the pool never regrows mid-run.
   static constexpr std::size_t kInitialSlots = 4096;
 
-  static constexpr EventId make_id(std::uint32_t slot,
-                                   std::uint32_t generation) {
-    return (static_cast<EventId>(generation) << 32) |
-           static_cast<EventId>(slot + 1);
+  static constexpr EventId make_id(SlotHandle slot) {
+    return (static_cast<EventId>(slot.generation) << 32) |
+           static_cast<EventId>(slot.index + 1);
+  }
+  /// Inverse of make_id. kNoEvent decodes to index 0xffffffff, which no
+  /// pool reaches.
+  static constexpr SlotHandle slot_of(EventId id) {
+    return SlotHandle{static_cast<std::uint32_t>(id) - 1,
+                      static_cast<std::uint32_t>(id >> 32)};
   }
 
   // min-heap order: earliest time first, then lowest sequence number.
@@ -187,16 +191,20 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Takes a slot from the free list (or grows the pool) and moves `cb`
-  /// into it. Shared by schedule() and schedule_batch().
-  std::uint32_t acquire_slot(Callback cb);
+  /// Takes a pool slot and moves `cb` into it. Shared by every schedule
+  /// path; keeps the heap reserved alongside the pool.
+  SlotHandle acquire_slot(Callback cb);
 
-  /// Marks the slot dead, bumps its generation (invalidating outstanding
-  /// handles and heap entries), and returns it to the free list.
-  void retire_slot(std::uint32_t index);
-
-  /// Slot index of a pending event, or kFreeListEnd if `id` is not pending.
-  [[nodiscard]] std::uint32_t live_index(EventId id) const;
+  /// True when `id` names a pending event. Ids arrive from callers, so the
+  /// slot index is range-checked: kNoEvent and ids this queue never issued
+  /// are rejected too.
+  [[nodiscard]] bool pending(EventId id) const {
+    const SlotHandle slot = slot_of(id);
+    return slot.index < slots_.size() && slots_.live(slot);
+  }
+  [[nodiscard]] bool pending_stepped(EventId id) const {
+    return pending(id) && slots_[slot_of(id).index].stepped;
+  }
 
   /// Drops stale fronts; true when the lane's front precedes the heap top
   /// (so it is the next to pop). Must not be called when empty.
@@ -237,13 +245,10 @@ class EventQueue {
   /// pending), so a flat vector with a head cursor suffices.
   mutable std::vector<Entry> now_fifo_;
   mutable std::size_t now_head_ = 0;
-  std::vector<Slot> slots_;
+  SlotPool<Slot> slots_{kInitialSlots};
   std::vector<Stepping> stepping_;  // grown with the pool, by stepped events
-  std::uint32_t free_head_ = kFreeListEnd;
   std::uint64_t scheduled_ = 0;
   std::uint64_t steps_ = 0;
-  std::size_t live_ = 0;
-  std::size_t peak_live_ = 0;
   /// Time of the most recently popped (or stepped) event; the gate for the
   /// fast lane. Starts at zero: nothing can be scheduled before the epoch, so events
   /// scheduled at t=0 before the first pop ride the lane correctly.

@@ -669,6 +669,8 @@ TEST(EventQueueModel, TruncateEndsAtTheNextSurfacing) {
 
   const EventId other = queue.schedule(ns(50), [] {});
   EXPECT_FALSE(queue.truncate(other));  // a plain event has no steps
+  EXPECT_FALSE(queue.truncate(kNoEvent));
+  EXPECT_FALSE(queue.truncate(EventId{12345}));  // never issued
 }
 
 TEST(EventQueueModel, DiscardDropsSteppedEventsWhole) {
