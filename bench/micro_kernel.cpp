@@ -101,8 +101,8 @@ void BM_SimulationEventChainNullObs(benchmark::State& state) {
   // the schedulers' job-tracer pointer guard, each a single predictable
   // branch. Three bumps and one tracer check per event bounds the real
   // density -- the wiring feeds gauges/distributions through end-of-run
-  // probes and the sampler, so hot event paths only ever carry bump-style
-  // counter hooks (net.parks, mem.alloc_waits), at most one each, and the
+  // probes and the sampler, so hot event paths only ever carry null-guarded
+  // handle hooks (net.parks, mem.grant_wait_s), at most one each, and the
   // per-job lifecycle sites (admit, gang turn, completion) are one
   // `if (job_tracer_)` apiece. perf_gate.py pairs this against
   // BM_SimulationEventChain (--pair, 3% tolerance) so "zero overhead when

@@ -271,8 +271,9 @@ void Multicomputer::wire_observability() {
               [mmu] { return static_cast<double>(mmu->alloc_count()); });
     reg.probe(prefix + ".mem.block_time_s",
               [mmu] { return mmu->total_block_time().to_seconds(); });
+    reg.probe(prefix + ".mem.alloc_waits",
+              [mmu] { return static_cast<double>(mmu->blocked_count()); });
     mmu->set_metrics(
-        reg.counter(prefix + ".mem.alloc_waits"),
         reg.distribution(prefix + ".mem.grant_wait_s", 0.0, 1.0, 50));
   }
 
@@ -494,10 +495,7 @@ MachineStats Multicomputer::stats() {
     s.mem_blocked_requests += mmu.blocked_count();
     s.mem_block_time += mmu.total_block_time();
   }
-  if (const auto* sf =
-          dynamic_cast<const net::StoreForwardNetwork*>(network_.get())) {
-    s.max_link_utilization = sf->max_link_utilization(sim_.now());
-  }
+  s.max_link_utilization = network_->max_link_utilization(sim_.now());
   if (fault_mgr_ != nullptr) {
     s.faults = fault_mgr_->stats();
     s.faults.retries = comm_->retries();

@@ -91,12 +91,7 @@ void Mmu::deliver(std::size_t offset, std::size_t bytes, Grant on_grant,
   ++alloc_count_;
   const sim::SlotHandle slot = grants_.acquire();
   grants_[slot.index] = GrantSlot{offset, bytes, std::move(on_grant), owner};
-  auto fire = [this, slot] { fire_grant(slot); };
-  if (pump_batching_) {
-    pump_batch_.add(std::move(fire));
-  } else {
-    sim_.schedule(service_time_, std::move(fire));
-  }
+  sim_.schedule(service_time_, [this, slot] { fire_grant(slot); });
 }
 
 void Mmu::set_timeline(obs::Timeline* timeline, obs::TrackId track) {
@@ -121,7 +116,6 @@ void Mmu::request(std::size_t bytes, Grant on_grant, const void* owner) {
     }
   }
   ++blocked_count_;
-  obs::bump(alloc_waits_);
   if (timeline_ != nullptr) {
     timeline_->instant(track_, name_blocked_, sim_.now(),
                        static_cast<double>(bytes));
@@ -142,13 +136,9 @@ std::optional<Block> Mmu::try_alloc(std::size_t bytes) {
 }
 
 void Mmu::pump() {
-  // Grants found in one scan all fire at now + service_time; batching them
-  // through one bulk insert preserves their relative order (consecutive
-  // sequence numbers, oldest request first) while touching the event heap
-  // once. No user code runs inside the scan, so the scratch batch cannot be
-  // re-entered.
-  assert(!pump_batching_ && "pump() re-entered mid-scan");
-  pump_batching_ = true;
+  // Grants found in one scan all fire at now + service_time, oldest
+  // request first: no user code runs inside the scan, so nothing else is
+  // scheduled between them.
   if (discipline_ == MmuDiscipline::kFifo) {
     while (!queue_.empty()) {
       auto offset = carve(queue_.front().bytes);
@@ -176,8 +166,6 @@ void Mmu::pump() {
               granted.owner);
     }
   }
-  pump_batching_ = false;
-  if (!pump_batch_.empty()) sim_.schedule_batch(service_time_, pump_batch_);
 }
 
 std::size_t Mmu::discard_pending() {

@@ -25,7 +25,6 @@
 #include "sim/unique_function.h"
 
 namespace tmc::obs {
-struct Counter;
 class Distribution;
 }  // namespace tmc::obs
 
@@ -132,12 +131,10 @@ class Mmu {
   /// becomes a "mem-blocked" instant on `track` (value = bytes requested).
   void set_timeline(obs::Timeline* timeline, obs::TrackId track);
 
-  /// Optional metric handles (null = off): `alloc_waits` counts requests
-  /// that blocked; `grant_latency` observes each blocked request's queueing
-  /// delay in seconds. Owner (the obs registry) must outlive us.
-  void set_metrics(obs::Counter* alloc_waits,
-                   obs::Distribution* grant_latency) {
-    alloc_waits_ = alloc_waits;
+  /// Optional metric handle (null = off): `grant_latency` observes each
+  /// blocked request's queueing delay in seconds. Owner (the obs registry)
+  /// must outlive us.
+  void set_metrics(obs::Distribution* grant_latency) {
     grant_latency_ = grant_latency;
   }
 
@@ -186,9 +183,7 @@ class Mmu {
   /// Carves `bytes` from the free list; nullopt if no range fits.
   std::optional<std::size_t> carve(std::size_t bytes);
   void release_range(std::size_t offset, std::size_t size);
-  /// Grants queued requests that now fit, per the discipline. Multi-grant
-  /// rounds (the first-fit scan a broadcast's buffer releases trigger) are
-  /// committed through one EventQueue bulk insert.
+  /// Grants queued requests that now fit, per the discipline.
   void pump();
   void deliver(std::size_t offset, std::size_t bytes, Grant on_grant,
                const void* owner);
@@ -201,15 +196,10 @@ class Mmu {
   obs::Timeline* timeline_ = nullptr;
   obs::TrackId track_ = 0;
   obs::NameId name_blocked_ = 0;
-  obs::Counter* alloc_waits_ = nullptr;
   obs::Distribution* grant_latency_ = nullptr;
   std::vector<FreeRange> free_;  // sorted by offset, coalesced
   std::deque<Pending> queue_;
   sim::SlotPool<GrantSlot> grants_;
-  /// While pump() scans, deliver() appends grant events here instead of
-  /// scheduling them one by one; the scan commits the batch in one insert.
-  sim::EventBatch pump_batch_;
-  bool pump_batching_ = false;
   std::size_t used_ = 0;
   std::size_t high_watermark_ = 0;
   std::uint64_t alloc_count_ = 0;

@@ -27,6 +27,14 @@ Network::Network(sim::Simulation& sim, const Topology& topo,
   }
 }
 
+double Network::max_link_utilization(sim::SimTime now) const {
+  double best = 0.0;
+  for (const auto& link : links_) {
+    best = std::max(best, link.utilization(now));
+  }
+  return best;
+}
+
 void StoreForwardNetwork::send(Message msg, mem::Block payload) {
   assert((payload.valid() || msg.unstaged) &&
          "only an unstaged message may come without a source buffer");
@@ -163,14 +171,6 @@ void StoreForwardNetwork::try_finish_reassembly(std::uint64_t id) {
   reassembly_.erase(it);
   ++delivered_;
   deliver_(msg, std::move(buffer));
-}
-
-double StoreForwardNetwork::max_link_utilization(sim::SimTime now) const {
-  double best = 0.0;
-  for (const auto& link : links_) {
-    best = std::max(best, link.utilization(now));
-  }
-  return best;
 }
 
 WormholeNetwork::WormholeNetwork(sim::Simulation& sim, const Topology& topo,

@@ -143,6 +143,8 @@ class Network {
   [[nodiscard]] int link_count() const {
     return static_cast<int>(links_.size());
   }
+  /// Highest utilisation over all links at time `now`.
+  [[nodiscard]] double max_link_utilization(sim::SimTime now) const;
 
   /// The router pricing this network's shortest paths (distance queries
   /// drive e.g. nearest-victim steal selection).
@@ -220,8 +222,6 @@ class StoreForwardNetwork final : public Network {
   void send(Message msg, mem::Block payload) override;
   void kick() override;
 
-  /// Highest utilisation over all links at time `now`.
-  [[nodiscard]] double max_link_utilization(sim::SimTime now) const;
   [[nodiscard]] std::size_t parked_messages() const override {
     return parked_.size();
   }

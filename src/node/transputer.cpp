@@ -49,7 +49,7 @@ void Transputer::record_charge(ChargeKind kind, sim::SimTime start,
   timeline_->span(track_, name, start, dur, value);
 }
 
-void Transputer::make_ready(Process& p, sim::EventBatch* batch) {
+void Transputer::make_ready(Process& p) {
   assert(p.node() == node_ && "process bound to a different node");
   assert(p.state_ != ProcessState::kReady &&
          p.state_ != ProcessState::kRunning &&
@@ -62,10 +62,10 @@ void Transputer::make_ready(Process& p, sim::EventBatch* batch) {
   p.state_ = ProcessState::kReady;
   low_queue_.push_back(&p);
   truncate_chain();
-  request_dispatch(batch);
+  request_dispatch();
 }
 
-void Transputer::suspend(Process& p, sim::EventBatch* batch) {
+void Transputer::suspend(Process& p) {
   p.gang_active_ = false;
   switch (p.state_) {
     case ProcessState::kReady:
@@ -76,7 +76,7 @@ void Transputer::suspend(Process& p, sim::EventBatch* batch) {
       Process& interrupted = interrupt_low_charge();
       assert(&interrupted == &p);
       interrupted.state_ = ProcessState::kSuspended;
-      request_dispatch(batch);
+      request_dispatch();
       return;
     }
     default:
@@ -86,13 +86,13 @@ void Transputer::suspend(Process& p, sim::EventBatch* batch) {
   }
 }
 
-void Transputer::resume(Process& p, sim::EventBatch* batch) {
+void Transputer::resume(Process& p) {
   p.gang_active_ = true;
-  if (p.state_ == ProcessState::kSuspended) make_ready(p, batch);
+  if (p.state_ == ProcessState::kSuspended) make_ready(p);
 }
 
-void Transputer::post_high(sim::SimTime cost, sim::UniqueFunction<void()> done,
-                           sim::EventBatch* batch) {
+void Transputer::post_high(sim::SimTime cost,
+                           sim::UniqueFunction<void()> done) {
   ++high_items_;
   high_queue_.push_back(HighWork{cost, std::move(done)});
   if (charge_kind_ == ChargeKind::kOp || charge_kind_ == ChargeKind::kContext) {
@@ -100,7 +100,7 @@ void Transputer::post_high(sim::SimTime cost, sim::UniqueFunction<void()> done,
   } else if (charge_kind_ == ChargeKind::kService) {
     interrupt_service();
   }
-  request_dispatch(batch);
+  request_dispatch();
 }
 
 void Transputer::post_service(sim::SimTime cost,
@@ -151,18 +151,13 @@ void Transputer::deliver(Process& receiver, const net::Message& msg,
   }
 }
 
-void Transputer::request_dispatch(sim::EventBatch* batch) {
+void Transputer::request_dispatch() {
   if (pump_scheduled_) return;
   pump_scheduled_ = true;
-  auto pump = [this] {
+  sim_.schedule(sim::SimTime::zero(), [this] {
     pump_scheduled_ = false;
     dispatch();
-  };
-  if (batch != nullptr) {
-    batch->add(std::move(pump));
-  } else {
-    sim_.schedule(sim::SimTime::zero(), std::move(pump));
-  }
+  });
 }
 
 void Transputer::crash() {

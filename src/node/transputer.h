@@ -76,20 +76,16 @@ class Transputer {
   [[nodiscard]] const Params& params() const { return params_; }
 
   // --- scheduler interface ----------------------------------------------
-  // The entry points below take an optional `batch`: when non-null, the
-  // zero-delay dispatch pump they would schedule is appended to it instead,
-  // so a partition-wide fan-out (gang dispatch, job admission) commits all
-  // its pumps through one Simulation::schedule_batch bulk insert. The
-  // pump_scheduled_ dedup still applies, so each CPU contributes at most
-  // one pump per batch.
+  // The entry points below schedule at most one zero-delay dispatch pump
+  // per CPU (pump_scheduled_ dedups), so a partition-wide fan-out (gang
+  // dispatch, job admission) costs one same-instant event per CPU touched.
 
   /// Makes a (new or unblocked) process runnable on this CPU.
-  void make_ready(Process& p, sim::EventBatch* batch = nullptr);
+  void make_ready(Process& p);
 
   /// Enqueues high-priority work costing `cost` CPU; `done` runs when it
   /// completes. Preempts any running low-priority process immediately.
-  void post_high(sim::SimTime cost, sim::UniqueFunction<void()> done,
-                 sim::EventBatch* batch = nullptr);
+  void post_high(sim::SimTime cost, sim::UniqueFunction<void()> done);
 
   /// Enqueues system-daemon work (mailbox management, store-and-forward
   /// copying). The daemon is a LOW-priority software process, as in the
@@ -107,9 +103,9 @@ class Transputer {
   /// Takes `p` out of circulation for the rest of its job's rotation: a
   /// ready process parks as kSuspended, a running one is preempted off the
   /// CPU, and a blocked one will park instead of waking. Idempotent.
-  void suspend(Process& p, sim::EventBatch* batch = nullptr);
+  void suspend(Process& p);
   /// Puts `p` back in circulation (enqueues it if it was parked ready).
-  void resume(Process& p, sim::EventBatch* batch = nullptr);
+  void resume(Process& p);
 
   // --- fault injection ----------------------------------------------------
   /// Fail-stop freeze: the CPU stops starting new work. The at-most-one
@@ -172,9 +168,8 @@ class Transputer {
   /// Schedules a zero-delay dispatch pump. External entry points (make_ready,
   /// post_high) never run the interpreter inline: this keeps op side effects
   /// (which can re-enter the same CPU, e.g. a self-send's delivery) from
-  /// nesting inside an in-flight interpreter step. With `batch` non-null the
-  /// pump is appended there for a caller-side bulk insert instead.
-  void request_dispatch(sim::EventBatch* batch = nullptr);
+  /// nesting inside an in-flight interpreter step.
+  void request_dispatch();
   /// Picks the next work item if the CPU is idle.
   void dispatch();
   /// Interprets ops of `current_` until a charge is planned, the process

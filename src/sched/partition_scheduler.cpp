@@ -74,22 +74,18 @@ void PartitionScheduler::admit(Job& job) {
     job.processes().push_back(std::move(process));
   }
   // Placement: notify each local scheduler. The scheduler software itself
-  // costs CPU, charged as high-priority work on the target node. This is
-  // the O(partition)-pumps-at-one-instant fan-out (the matmul broadcast's
-  // admission): each touched CPU contributes one dispatch pump to the
-  // scratch batch, committed below as a single bulk insert.
+  // costs CPU, charged as high-priority work on the target node.
   const bool gang = gang_mode();
   for (auto& process : job.processes()) {
     node::Transputer* cpu = cpus_[static_cast<std::size_t>(process->node())];
     if (!params_.dispatch_overhead.is_zero()) {
-      cpu->post_high(params_.dispatch_overhead, nullptr, &dispatch_batch_);
+      cpu->post_high(params_.dispatch_overhead, nullptr);
     }
     // Under gang rotation a job is admitted parked; its first turn (or the
     // sole-job fast path below) resumes it.
-    if (gang) cpu->suspend(*process, &dispatch_batch_);
-    cpu->make_ready(*process, &dispatch_batch_);
+    if (gang) cpu->suspend(*process);
+    cpu->make_ready(*process);
   }
-  sim_.schedule_batch(sim::SimTime::zero(), dispatch_batch_);
   // Space-sharing runs the job from placement to completion: its single
   // service span opens here. Gang mode opens one per turn instead.
   if (!gang && job_tracer_ != nullptr) {
@@ -112,18 +108,14 @@ void PartitionScheduler::admit(Job& job) {
 void PartitionScheduler::gang_set_active(Job& job, bool active) {
   // Freeze/thaw the job's in-flight communication along with its processes.
   comm_.set_job_active(job.id(), active);
-  // Gang fan-out: every partition CPU wakes (or parks) at this instant, so
-  // the per-CPU dispatch pumps are accumulated and committed in one bulk
-  // insert rather than one heap push each.
   for (auto& process : job.processes()) {
     node::Transputer* cpu = cpus_[static_cast<std::size_t>(process->node())];
     if (active) {
-      cpu->resume(*process, &dispatch_batch_);
+      cpu->resume(*process);
     } else {
-      cpu->suspend(*process, &dispatch_batch_);
+      cpu->suspend(*process);
     }
   }
-  sim_.schedule_batch(sim::SimTime::zero(), dispatch_batch_);
 }
 
 void PartitionScheduler::gang_start_turn(Job& job, bool charge_switch) {
@@ -138,9 +130,8 @@ void PartitionScheduler::gang_start_turn(Job& job, bool charge_switch) {
     if (!params_.gang_switch_overhead.is_zero()) {
       for (const net::NodeId node : partition_.nodes) {
         cpus_[static_cast<std::size_t>(node)]->post_high(
-            params_.gang_switch_overhead, nullptr, &dispatch_batch_);
+            params_.gang_switch_overhead, nullptr);
       }
-      sim_.schedule_batch(sim::SimTime::zero(), dispatch_batch_);
     }
   }
   gang_set_active(job, true);

@@ -134,10 +134,6 @@ class PartitionScheduler {
   /// set_size jobs, so a flat array beats hashing (and never allocates once
   /// its capacity covers the multiprogramming level).
   std::vector<std::pair<Job*, int>> live_processes_;
-  /// Scratch for the admission/gang fan-outs: per-CPU dispatch pumps are
-  /// accumulated here and committed with one Simulation::schedule_batch
-  /// call. Reused across fan-outs, so it stops allocating once warm.
-  sim::EventBatch dispatch_batch_;
   /// Round-robin ring of resident jobs and the current turn.
   std::vector<Job*> gang_ring_;
   std::size_t gang_index_ = 0;

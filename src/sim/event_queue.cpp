@@ -30,38 +30,6 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   return make_id(slot);
 }
 
-std::size_t EventQueue::schedule_batch(SimTime at, std::span<Callback> cbs,
-                                       EventId* ids) {
-  const std::size_t k = cbs.size();
-  if (k == 0) return 0;
-  // Sequence numbers are handed out in span order, so the batch ties-break
-  // exactly as k individual schedule() calls would. A same-instant batch
-  // (the common case: dispatch fan-out committed at zero delay) appends to
-  // the FIFO lane and never touches the heap.
-  const bool fast = fifo_eligible(at);
-  for (std::size_t i = 0; i < k; ++i) {
-    const SlotHandle slot = acquire_slot(std::move(cbs[i]));
-    const Entry entry{at, ++scheduled_, slot};
-    if (fast) {
-      now_fifo_.push_back(entry);
-    } else {
-      heap_.push_back(entry);
-    }
-    if (ids != nullptr) ids[i] = make_id(slot);
-  }
-  if (fast) return k;
-  // The first heap_.size()-k elements still satisfy the heap property, so a
-  // small batch sifts each appended entry up (O(k log n)); a batch that
-  // rivals the pending set rebuilds bottom-up in O(n). Heap order is the
-  // strict total order (time, seq), so pop order is identical either way.
-  if (k < heap_.size() / 2) {
-    for (std::size_t i = heap_.size() - k; i < heap_.size(); ++i) sift_up(i);
-  } else {
-    heapify();
-  }
-  return k;
-}
-
 EventId EventQueue::schedule_stepped(SimTime first, SimTime step,
                                      SimTime deadline, Callback cb) {
   assert(step > SimTime::zero() && "a stepped event must advance");
@@ -240,15 +208,6 @@ void EventQueue::sift_up(std::size_t i) const {
     i = parent;
   }
   heap_[i] = entry;
-}
-
-void EventQueue::heapify() const {
-  if (heap_.size() < 2) return;
-  // Floyd's bottom-up build over the 4-ary layout: sift down every internal
-  // node, last parent first.
-  for (std::size_t i = (heap_.size() - 2) / 4 + 1; i-- > 0;) {
-    sift_down(i);
-  }
 }
 
 void EventQueue::sift_down(std::size_t i) const {

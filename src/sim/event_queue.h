@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sim/slot_pool.h"
@@ -33,8 +32,8 @@ inline constexpr EventId kNoEvent = 0;
 /// after the slot has been reused).
 ///
 /// Same-instant fast lane: an event scheduled for exactly the time of the
-/// most recently popped event (a zero-delay cascade -- dispatch pumps,
-/// bulk-granted memory, gang fan-out) bypasses the heap into a plain FIFO.
+/// most recently popped event (a zero-delay cascade -- dispatch pumps, gang
+/// fan-out, job admission) bypasses the heap into a plain FIFO.
 /// This is order-exact, not an approximation: every heap entry at that
 /// instant was inserted before the clock reached it and so carries a lower
 /// sequence number than anything in the lane, and pop() compares the two
@@ -63,24 +62,6 @@ class EventQueue {
   /// Schedules `cb` to fire at absolute time `at`. Returns a handle that can
   /// be passed to `cancel`.
   EventId schedule(SimTime at, Callback cb);
-
-  /// Bulk insert: schedules every callback in `cbs` (moving them out) to
-  /// fire at the same instant `at`, in span order.
-  ///
-  /// Contract: the batch is assigned consecutive sequence numbers, so it is
-  /// exactly equivalent to calling schedule(at, cb) on each element in
-  /// order -- same FIFO tie-break, same pop order, same handles-to-slots
-  /// mapping guarantees -- only cheaper. Small batches sift each appended
-  /// entry up individually; a batch that rivals the pending set in size
-  /// rebuilds the heap bottom-up (Floyd) in O(n) instead. Because the heap
-  /// order is the strict total order (time, seq), both restore paths yield
-  /// identical pop sequences.
-  ///
-  /// If `ids` is non-null it must point to `cbs.size()` elements; it
-  /// receives the handle of each scheduled event (cancelable as usual).
-  /// Returns the number of events scheduled.
-  std::size_t schedule_batch(SimTime at, std::span<Callback> cbs,
-                             EventId* ids = nullptr);
 
   /// Schedules a stepped event: it surfaces at `first`, then every `step`
   /// (> 0), with the last step clipped to `deadline` (>= `first`). Every
@@ -220,8 +201,6 @@ class EventQueue {
   void pop_top() const;
   void sift_up(std::size_t i) const;
   void sift_down(std::size_t i) const;
-  /// Rebuilds the heap property over the whole array (bottom-up).
-  void heapify() const;
 
   /// Skips cancelled entries at the front of the same-instant lane; resets
   /// the lane to offset 0 (keeping capacity) once fully drained.
@@ -253,30 +232,6 @@ class EventQueue {
   /// fast lane. Starts at zero: nothing can be scheduled before the epoch, so events
   /// scheduled at t=0 before the first pop ride the lane correctly.
   SimTime current_;
-};
-
-/// Accumulates callbacks destined for one instant so a fan-out site (gang
-/// dispatch, multi-grant MMU pump, broadcast admission) can insert them with
-/// a single EventQueue::schedule_batch() call. Reusable: clear() keeps the
-/// capacity, so a scheduler-owned scratch batch stops allocating once warm.
-class EventBatch {
- public:
-  void add(EventQueue::Callback cb) { callbacks_.push_back(std::move(cb)); }
-
-  [[nodiscard]] bool empty() const { return callbacks_.empty(); }
-  [[nodiscard]] std::size_t size() const { return callbacks_.size(); }
-  /// Drops the callbacks (destroying any not yet moved out) but keeps the
-  /// vector capacity for reuse.
-  void clear() { callbacks_.clear(); }
-
-  /// The accumulated callbacks, in add() order; schedule_batch moves the
-  /// elements out, after which clear() must be called before reuse.
-  [[nodiscard]] std::span<EventQueue::Callback> callbacks() {
-    return callbacks_;
-  }
-
- private:
-  std::vector<EventQueue::Callback> callbacks_;
 };
 
 }  // namespace tmc::sim

@@ -21,13 +21,6 @@ EventId Simulation::schedule_at(SimTime at, EventQueue::Callback cb) {
   return queue_.schedule(at, std::move(cb));
 }
 
-std::size_t Simulation::schedule_batch(SimTime delay, EventBatch& batch) {
-  assert(!delay.is_negative() && "negative delay");
-  const std::size_t n = queue_.schedule_batch(now_ + delay, batch.callbacks());
-  batch.clear();
-  return n;
-}
-
 EventId Simulation::schedule_stepped(SimTime first, SimTime step,
                                      SimTime deadline,
                                      EventQueue::Callback cb) {

@@ -31,13 +31,6 @@ class Simulation {
   /// Schedules `cb` at absolute time `at` (>= now()).
   EventId schedule_at(SimTime at, EventQueue::Callback cb);
 
-  /// Commits an accumulated fan-out: every callback in `batch` is scheduled
-  /// at now()+delay through one EventQueue::schedule_batch bulk insert
-  /// (FIFO-equivalent to scheduling them individually in add() order). The
-  /// batch is cleared afterwards, retaining its capacity for reuse.
-  /// Returns the number of events scheduled.
-  std::size_t schedule_batch(SimTime delay, EventBatch& batch);
-
   /// Schedules a stepped event (see EventQueue::schedule_stepped): it
   /// surfaces `first` from now, then every `step`, and `cb` fires at
   /// `deadline` from now. Each surfacing before the deadline is a silent

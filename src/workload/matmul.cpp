@@ -125,9 +125,6 @@ std::vector<node::Program> build_matmul_programs(const MatMulParams& params,
   }
 
   // Paper's algorithm: the coordinator ships every worker's parcel itself.
-  // The (P-1)-send broadcast here is pure script: its simultaneous dispatch
-  // pumps are batched at admission (PartitionScheduler::admit) and its
-  // buffer grants by the MMU's bulk-inserting pump.
   node::Program& coord = programs[0];
   coord.reserve(2 * static_cast<std::size_t>(procs) + 1);
   coord.alloc(params.costs.process_overhead_bytes + 3 * matrix_bytes);

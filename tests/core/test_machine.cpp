@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/experiment.h"
+
 namespace tmc::core {
 namespace {
 
@@ -91,6 +93,23 @@ TEST(Machine, WormholeConfigUsesWormholeTransport) {
   Multicomputer machine2(sf);
   EXPECT_NE(dynamic_cast<net::StoreForwardNetwork*>(&machine2.network()),
             nullptr);
+}
+
+TEST(Machine, WormholeRunReportsLinkUtilization) {
+  // Both transports reserve the links the Network base owns, so a wormhole
+  // run reports its busiest link just as a store-and-forward run does.
+  auto config = figure_point(workload::App::kMatMul,
+                             sched::SoftwareArch::kFixed,
+                             sched::PolicyKind::kStatic, 4,
+                             net::TopologyKind::kMesh);
+  config.machine.wormhole = true;
+  config.batch.small_size = 12;
+  config.batch.large_size = 20;
+  const auto stats =
+      run_batch(config, workload::BatchOrder::kInterleaved).machine;
+  EXPECT_GT(stats.messages, 0u);
+  EXPECT_GT(stats.max_link_utilization, 0.0);
+  EXPECT_LE(stats.max_link_utilization, 1.0);
 }
 
 TEST(Machine, CustomProcessorCount) {

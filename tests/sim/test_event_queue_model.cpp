@@ -1,10 +1,9 @@
 // Randomized differential model check of the EventQueue kernel.
 //
 // The queue under test is a 4-ary heap over a generation-tagged slot pool
-// with a same-instant FIFO fast lane and a bulk-insert path -- four
-// interacting mechanisms whose contract is simple to state: events fire in
-// strict (time, insertion-order) order, handles cancel exactly once, and
-// schedule_batch is observably identical to a loop of schedule calls. The
+// with a same-instant FIFO fast lane -- three interacting mechanisms whose
+// contract is simple to state: events fire in strict (time,
+// insertion-order) order and handles cancel exactly once. The
 // reference model here is a std::multimap keyed on (time, seq): trivially
 // correct, allocation-happy, and slow -- everything the production queue is
 // not. Each seeded run drives both through the same operation stream and
@@ -98,7 +97,7 @@ class DifferentialDriver {
     EXPECT_EQ(queue_.size(), reference_.size());
     switch (pick_op()) {
       case Op::kSchedule: do_schedule(); break;
-      case Op::kBatch: do_batch(); break;
+      case Op::kBurst: do_burst(); break;
       case Op::kPop: do_pop(); break;
       case Op::kPopIfAtMost: do_pop_if_at_most(); break;
       case Op::kCancel: do_cancel(); break;
@@ -106,12 +105,12 @@ class DifferentialDriver {
     }
   }
 
-  enum class Op { kSchedule, kBatch, kPop, kPopIfAtMost, kCancel, kPeek };
+  enum class Op { kSchedule, kBurst, kPop, kPopIfAtMost, kCancel, kPeek };
 
   Op pick_op() {
     const int r = std::uniform_int_distribution<int>(0, 99)(rng_);
     if (r < 40) return Op::kSchedule;
-    if (r < 50) return Op::kBatch;
+    if (r < 50) return Op::kBurst;
     if (r < 75) return Op::kPop;
     if (r < 85) return Op::kPopIfAtMost;
     if (r < 95) return Op::kCancel;
@@ -144,22 +143,18 @@ class DifferentialDriver {
     live_.emplace_back(id, ref);
   }
 
-  void do_batch() {
+  /// A fan-out: k schedule() calls at one instant, back to back (the
+  /// shape of a gang rotation or a job admission).
+  void do_burst() {
     const SimTime at = pick_time();
     const std::size_t k =
         std::uniform_int_distribution<std::size_t>(1, 16)(rng_);
-    EventBatch batch;
-    std::vector<int> payloads;
     for (std::size_t j = 0; j < k; ++j) {
       const int payload = next_payload_++;
-      payloads.push_back(payload);
-      batch.add([this, payload] { fired_payload_ = payload; });
-    }
-    std::vector<EventId> ids(k, kNoEvent);
-    ASSERT_EQ(queue_.schedule_batch(at, batch.callbacks(), ids.data()), k);
-    for (std::size_t j = 0; j < k; ++j) {
-      ASSERT_NE(ids[j], kNoEvent);
-      live_.emplace_back(ids[j], reference_.schedule(at, payloads[j]));
+      const EventId id = queue_.schedule(at, [this, payload] {
+        fired_payload_ = payload;
+      });
+      live_.emplace_back(id, reference_.schedule(at, payload));
     }
   }
 
@@ -282,82 +277,6 @@ TEST(EventQueueModel, SameInstantStress) {
   }
 }
 
-TEST(EventQueueModel, BatchMatchesIndividualSchedules) {
-  // Same callbacks, same instant, two queues: one bulk insert vs a loop of
-  // schedule() calls. The pop sequences must be identical -- the documented
-  // schedule_batch contract.
-  for (const std::size_t batch_size : {1u, 2u, 7u, 64u, 500u}) {
-    EventQueue bulk;
-    EventQueue loop;
-    std::vector<int> bulk_fired;
-    std::vector<int> loop_fired;
-    // Pre-load both with the same background events at varied times so the
-    // batch lands in a non-trivial heap.
-    for (int i = 0; i < 40; ++i) {
-      bulk.schedule(ns(10 + 3 * i), [&bulk_fired, i] {
-        bulk_fired.push_back(1000 + i);
-      });
-      loop.schedule(ns(10 + 3 * i), [&loop_fired, i] {
-        loop_fired.push_back(1000 + i);
-      });
-    }
-    EventBatch batch;
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      const int p = static_cast<int>(i);
-      batch.add([&bulk_fired, p] { bulk_fired.push_back(p); });
-      loop.schedule(ns(42), [&loop_fired, p] {
-        loop_fired.push_back(p);
-      });
-    }
-    EXPECT_EQ(bulk.schedule_batch(ns(42), batch.callbacks()), batch_size);
-    while (!bulk.empty()) bulk.pop().callback();
-    while (!loop.empty()) loop.pop().callback();
-    EXPECT_EQ(bulk_fired, loop_fired) << "batch size " << batch_size;
-  }
-}
-
-TEST(EventQueueModel, BatchLargerThanHeapTakesHeapifyPath) {
-  // A batch that rivals the pending set rebuilds the heap bottom-up; the
-  // observable order must still be exact (time, then span order).
-  EventQueue queue;
-  std::vector<int> fired;
-  queue.schedule(ns(5), [&fired] { fired.push_back(-1); });
-  queue.schedule(ns(100), [&fired] { fired.push_back(-2); });
-  EventBatch batch;
-  for (int i = 0; i < 32; ++i) {
-    batch.add([&fired, i] { fired.push_back(i); });
-  }
-  EXPECT_EQ(queue.schedule_batch(ns(50), batch.callbacks()), 32u);
-  while (!queue.empty()) queue.pop().callback();
-  ASSERT_EQ(fired.size(), 34u);
-  EXPECT_EQ(fired.front(), -1);
-  EXPECT_EQ(fired.back(), -2);
-  for (int i = 0; i < 32; ++i) EXPECT_EQ(fired[static_cast<std::size_t>(i) + 1], i);
-}
-
-TEST(EventQueueModel, BatchIdsAreCancelable) {
-  EventQueue queue;
-  std::vector<int> fired;
-  EventBatch batch;
-  for (int i = 0; i < 8; ++i) {
-    batch.add([&fired, i] { fired.push_back(i); });
-  }
-  EventId ids[8];
-  ASSERT_EQ(queue.schedule_batch(ns(7), batch.callbacks(), ids), 8u);
-  EXPECT_TRUE(queue.cancel(ids[2]));
-  EXPECT_TRUE(queue.cancel(ids[5]));
-  EXPECT_FALSE(queue.cancel(ids[2]));  // second cancel must fail
-  while (!queue.empty()) queue.pop().callback();
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 3, 4, 6, 7}));
-}
-
-TEST(EventQueueModel, EmptyBatchIsANoOp) {
-  EventQueue queue;
-  EventBatch batch;
-  EXPECT_EQ(queue.schedule_batch(ns(3), batch.callbacks()), 0u);
-  EXPECT_TRUE(queue.empty());
-}
-
 TEST(EventQueueModel, HandleGenerationSurvivesSlotReuse) {
   // Pop an event, then keep scheduling until its pool slot is reused; the
   // stale handle must not cancel the new occupant.
@@ -441,24 +360,6 @@ TEST(EventQueueModel, StepUntilMatchesRunUntil) {
   EXPECT_EQ(a.now(), ns(1000));
   EXPECT_EQ(b.now(), ns(3 * 19));
   EXPECT_EQ(a.fired_events(), b.fired_events());
-}
-
-TEST(EventQueueModel, SimulationBatchPreservesFifoAgainstSingles) {
-  // Events already pending at the batch instant fire first (lower seq);
-  // batch members then fire in add() order, before anything later.
-  Simulation sim;
-  std::vector<int> order;
-  sim.schedule(ns(10), [&order] { order.push_back(0); });
-  sim.schedule(ns(5), [&] {
-    EventBatch batch;
-    for (int i = 0; i < 4; ++i) {
-      batch.add([&order, i] { order.push_back(10 + i); });
-    }
-    sim.schedule_batch(SimTime::zero(), batch);
-  });
-  sim.schedule(ns(15), [&order] { order.push_back(1); });
-  sim.run_until(ns(100));
-  EXPECT_EQ(order, (std::vector<int>{10, 11, 12, 13, 0, 1}));
 }
 
 // --- stepped events -----------------------------------------------------
