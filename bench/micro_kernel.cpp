@@ -76,6 +76,37 @@ void BM_EventQueueHoldModel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueHoldModel)->Arg(64)->Arg(1024)->Arg(16384);
 
+void BM_EventQueueSteppedHold(benchmark::State& state) {
+  // A machine of N CPUs, each running a long burst as one stepped charge
+  // renewed every 2 ms quantum, amid a hold model of 64 plain events
+  // (message arrivals, link frees) rescheduled up to ~2 ms ahead. Each pop
+  // first steps every charge whose boundary comes earlier, so an item is a
+  // pop or a silent step.
+  const auto cpus = state.range(0);
+  const sim::SimTime quantum = sim::SimTime::milliseconds(2);
+  sim::EventQueue queue;
+  for (std::int64_t i = 0; i < cpus; ++i) {
+    queue.schedule_stepped(sim::SimTime::nanoseconds(i * quantum.ns() / cpus),
+                           quantum, sim::SimTime::max(), [] {});
+  }
+  for (int i = 0; i < 64; ++i) {
+    queue.schedule(sim::SimTime::nanoseconds((i * 7919) % 2'000'000), [] {});
+  }
+  const std::uint64_t steps_before = queue.steps_taken();
+  std::uint64_t hash = 12345;
+  for (auto _ : state) {
+    auto fired = queue.pop();
+    hash = hash * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto delay = static_cast<std::int64_t>(hash >> 43) + 1;
+    queue.schedule(fired.time + sim::SimTime::nanoseconds(delay),
+                   std::move(fired.callback));
+  }
+  state.SetItemsProcessed(
+      state.iterations() +
+      static_cast<std::int64_t>(queue.steps_taken() - steps_before));
+}
+BENCHMARK(BM_EventQueueSteppedHold)->Arg(64)->Arg(1024);
+
 void BM_SimulationEventChain(benchmark::State& state) {
   const auto depth = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {

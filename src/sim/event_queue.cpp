@@ -38,10 +38,18 @@ EventId EventQueue::schedule_stepped(SimTime first, SimTime step,
   slots_[slot.index].stepped = true;
   if (slot.index >= stepping_.size()) stepping_.resize(slots_.size());
   stepping_[slot.index] = Stepping{first, step, deadline};
-  // Always the heap, never the same-instant lane: only a heap top is ever
-  // re-keyed. Pop merges the two fronts under (time, seq), so the order is
-  // exact either way.
-  heap_.push_back(Entry{first, ++scheduled_, slot});
+  // Never the same-instant lane: only a heap top is ever re-keyed. Pop
+  // merges the fronts under (time, seq), so the order is exact either way.
+  // The step lane takes the entry by the rule a step follows: it founds an
+  // empty lane, or joins the back when its key is not before the back's.
+  const Entry entry{first, ++scheduled_, slot};
+  if (step_front_.slot.index == kNoFront) {
+    step_front_ = entry;
+  } else if (!before(entry, step_lane_back())) {
+    step_lane_.push_back(entry);
+    return make_id(slot);
+  }
+  heap_.push_back(entry);
   sift_up(heap_.size() - 1);
   return make_id(slot);
 }
@@ -73,8 +81,36 @@ bool EventQueue::cancel(EventId id) {
 void EventQueue::drop_stale_top() const {
   while (!heap_.empty()) {
     if (slots_.live(heap_.front().slot)) return;
+    remove_top();
+  }
+}
+
+void EventQueue::remove_top() const {
+  if (is_step_front(heap_.front().slot) && advance_step_front()) {
+    heap_.front() = step_front_;
+    sift_down(0);
+  } else {
     pop_top();
   }
+}
+
+bool EventQueue::advance_step_front() const {
+  while (step_head_ < step_lane_.size()) {
+    const Entry next = step_lane_[step_head_++];
+    if (!slots_.live(next.slot)) continue;  // cancelled behind the front
+    step_front_ = next;
+    if (2 * step_head_ >= step_lane_.size()) {
+      step_lane_.erase(step_lane_.begin(),
+                       step_lane_.begin() +
+                           static_cast<std::ptrdiff_t>(step_head_));
+      step_head_ = 0;
+    }
+    return true;
+  }
+  step_lane_.clear();
+  step_head_ = 0;
+  step_front_.slot = SlotHandle{kNoFront, 0};
+  return false;
 }
 
 void EventQueue::drop_stale_fifo() const {
@@ -108,11 +144,32 @@ bool EventQueue::step_top() {
   // Exactly what the eager chain does here: its callback pops at this key
   // and re-schedules one step on, drawing the next sequence number.
   current_ = top.time;
-  top.time = std::min(top.time + stepping.step, stepping.deadline);
-  top.seq = ++scheduled_;
-  stepping.key = top.time;
+  const Entry next{std::min(top.time + stepping.step, stepping.deadline),
+                   ++scheduled_, top.slot};
+  stepping.key = next.time;
   ++steps_;
+  const bool front = is_step_front(top.slot);
+  if (step_head_ == step_lane_.size() &&
+      (front || step_front_.slot.index == kNoFront)) {
+    // The lane's only entry, or the first: re-key in place.
+    top = next;
+    step_front_ = next;
+    sift_down(0);
+    return true;
+  }
+  if (!before(next, step_lane_back())) {
+    step_lane_.push_back(next);
+    remove_top();  // a front's place goes to the next entry: at worst `next`
+    return true;
+  }
+  // Out of lane order (another step size, or clipped to the deadline):
+  // re-key in the heap, and if it was the front, promote the next one.
+  top = next;
   sift_down(0);
+  if (front && advance_step_front()) {
+    heap_.push_back(step_front_);
+    sift_up(heap_.size() - 1);
+  }
   return true;
 }
 
@@ -127,7 +184,7 @@ EventQueue::Fired EventQueue::pop_fifo_front() {
 
 EventQueue::Fired EventQueue::pop_heap_top() {
   const Entry top = heap_.front();
-  pop_top();
+  remove_top();
   current_ = top.time;
   Fired fired{top.time, make_id(top.slot),
               std::move(slots_[top.slot.index].callback)};

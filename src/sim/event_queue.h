@@ -37,8 +37,9 @@ inline constexpr EventId kNoEvent = 0;
 /// This is order-exact, not an approximation: every heap entry at that
 /// instant was inserted before the clock reached it and so carries a lower
 /// sequence number than anything in the lane, and pop() compares the two
-/// fronts under the same strict (time, seq) order either way. Roughly a
-/// third of all events in the paper's workloads take this O(1) path.
+/// fronts under the same strict (time, seq) order either way. The lane
+/// fires 13% of the pops on perfbench's paper_batch workload, 18% on
+/// serve_mix and 33% on scale_wormhole.
 ///
 /// Stepped events: schedule_stepped() inserts an entry that stands in for a
 /// self-rescheduling callback chain (a CPU burst that renews its quantum at
@@ -48,6 +49,29 @@ inline constexpr EventId kNoEvent = 0;
 /// The callback fires only when the entry surfaces at its deadline. Because
 /// every draw happens in the same order as in the eager chain, sequence
 /// numbers, tie-breaks and scheduled_count() are all unchanged.
+///
+/// Step lane: stepped entries that share a step size re-key to `now + step`,
+/// a key at or after every other such key, so their steps arrive in key
+/// order. The queue keeps them in a second FIFO, sorted by (time, seq), of
+/// which only the front lives in the heap. A step whose new key is not
+/// before the lane's back key is appended to the lane (the front is
+/// re-keyed in place when it is the lane's only entry); any other step
+/// re-keys its entry in the heap. schedule_stepped() places a new entry by
+/// the same rule, and one that finds the lane empty becomes its front. When
+/// the front fires, steps, or surfaces cancelled, the next live lane entry
+/// takes its place in the heap. A machine of N CPUs on one quantum then
+/// keeps one stepped entry in the heap, not N, and a step costs a sift
+/// through the plain events only.
+/// This is exact, not a heuristic:
+///  - every pending entry sits in exactly one place (the heap, the
+///    same-instant lane or behind the step lane's front), and the step lane
+///    is sorted, so its front is its minimum and the heap top is still the
+///    minimum of everything outside the same-instant lane;
+///  - so every pop and step happens at the same moment as with one heap,
+///    drawing the same sequence number, and the pop order, tie-breaks,
+///    scheduled_count(), steps_taken() and peak_size() are all unchanged.
+/// The front is identified by its whole SlotHandle: a cancelled front's
+/// slot index can be reused at once by an unrelated event.
 class EventQueue {
  public:
   using Callback = UniqueFunction<void()>;
@@ -149,7 +173,8 @@ class EventQueue {
     SimTime step;
     SimTime deadline;
   };
-  /// Slot-pool capacity reserved on first use (~380 KB with the heap array).
+  /// Slot-pool capacity reserved on first use: 4096 x 80 B slots plus the
+  /// 4096 x 24 B heap array reserved beside it, about 416 KiB.
   /// One queue serves a whole simulated machine, so this is paid once per
   /// simulation; it covers the pending-set peaks the paper's experiments
   /// reach so the pool never regrows mid-run.
@@ -191,13 +216,17 @@ class EventQueue {
   /// (so it is the next to pop). Must not be called when empty.
   bool lane_leads() const;
   /// Takes the heap top's step if it is a stepped event surfacing before
-  /// its deadline: re-keys it in place and returns true.
+  /// its deadline: re-keys it (in the heap or onto the step lane) and
+  /// returns true.
   bool step_top();
   /// Removes the (live) heap top as a Fired record.
   Fired pop_heap_top();
   // Lazy deletion happens on the read path (next_time is const), so the
-  // heap maintenance helpers are const over the mutable heap array.
+  // heap and step-lane maintenance helpers are const over mutable state.
   void drop_stale_top() const;
+  /// Removes the heap top; when it is the step lane's front, the next live
+  /// lane entry takes its place.
+  void remove_top() const;
   void pop_top() const;
   void sift_up(std::size_t i) const;
   void sift_down(std::size_t i) const;
@@ -217,6 +246,21 @@ class EventQueue {
   /// Consumes the front lane entry (already known live) as a Fired record.
   Fired pop_fifo_front();
 
+  /// True when `slot` is the step lane's front: index and generation both.
+  [[nodiscard]] bool is_step_front(SlotHandle slot) const {
+    return slot.index == step_front_.slot.index &&
+           slot.generation == step_front_.slot.generation;
+  }
+  /// Key a step or a new stepped entry must not precede to join the step
+  /// lane: its last entry's, or the front's when none waits behind it.
+  [[nodiscard]] const Entry& step_lane_back() const {
+    return step_head_ == step_lane_.size() ? step_front_ : step_lane_.back();
+  }
+  /// Makes the next live entry behind the front the new front (the caller
+  /// puts it in the heap) and returns true; false, with the lane emptied,
+  /// when none is left.
+  bool advance_step_front() const;
+
   mutable std::vector<Entry> heap_;
   /// Same-instant lane: entries at the current instant, consumed from
   /// now_head_, appended at the back. Drains completely before the clock
@@ -224,6 +268,15 @@ class EventQueue {
   /// pending), so a flat vector with a head cursor suffices.
   mutable std::vector<Entry> now_fifo_;
   mutable std::size_t now_head_ = 0;
+  /// Step lane: step_front_ is in the heap; the stepped entries behind it
+  /// wait here in (time, seq) order, consumed from step_head_ and appended
+  /// at the back. Unlike the same-instant lane it need not drain while a
+  /// machine runs, so the consumed prefix is erased once it is half the
+  /// vector: each entry moves O(1) times.
+  static constexpr std::uint32_t kNoFront = 0xffffffffu;  // no pool index
+  mutable Entry step_front_{SimTime{}, 0, SlotHandle{kNoFront, 0}};
+  mutable std::vector<Entry> step_lane_;
+  mutable std::size_t step_head_ = 0;
   SlotPool<Slot> slots_{kInitialSlots};
   std::vector<Stepping> stepping_;  // grown with the pool, by stepped events
   std::uint64_t scheduled_ = 0;

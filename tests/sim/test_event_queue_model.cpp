@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -375,13 +376,20 @@ TEST(EventQueueModel, StepUntilMatchesRunUntil) {
 /// One side of the stepped-vs-eager differential.
 class ChainWorld {
  public:
-  ChainWorld(bool stepped, std::uint64_t seed) : stepped_(stepped), rng_(seed) {}
+  /// `chains` chains, of which about `minority_percent` step every 15 ns
+  /// and the rest every 10 ns.
+  ChainWorld(bool stepped, std::uint64_t seed, std::size_t chains,
+             int minority_percent)
+      : stepped_(stepped),
+        rng_(seed),
+        chains_(chains),
+        minority_percent_(minority_percent) {}
 
   void start() {
     for (int i = 0; i < 40; ++i) {
       sim_.schedule(grid(0, 30), [this, i] { background(i); });
     }
-    start_chain(0);
+    for (std::size_t c = 0; c < chains_.size(); ++c) start_chain(c);
   }
 
   /// Runs to `limit` with run_until or with a step_until loop.
@@ -400,7 +408,6 @@ class ChainWorld {
   }
 
  private:
-  static constexpr int kChains = 2;
   struct Chain {
     EventId id = kNoEvent;
     SimTime pending;  // eager side: the chain event's time
@@ -415,10 +422,10 @@ class ChainWorld {
   }
   int roll() { return std::uniform_int_distribution<int>(0, 99)(rng_); }
 
-  void start_chain(int c) {
+  void start_chain(std::size_t c) {
     Chain& chain = chains_[c];
     const SimTime first = grid(1, 4);
-    chain.step = ns(std::uniform_int_distribution<int>(0, 1)(rng_) == 0 ? 10 : 15);
+    chain.step = ns(roll() < minority_percent_ ? 15 : 10);
     const SimTime deadline = first + grid(0, 20);
     chain.deadline = sim_.now() + deadline;
     const int tag = next_tag_++;
@@ -432,7 +439,7 @@ class ChainWorld {
   }
 
   /// The eager chain: one event per step.
-  void surface(int c, int tag) {
+  void surface(std::size_t c, int tag) {
     Chain& chain = chains_[c];
     if (sim_.now() < chain.deadline) {
       chain.pending = std::min(sim_.now() + chain.step, chain.deadline);
@@ -443,7 +450,7 @@ class ChainWorld {
     finish(c, tag);
   }
 
-  void finish(int c, int tag) {
+  void finish(std::size_t c, int tag) {
     chains_[c].id = kNoEvent;
     log_.emplace_back(-1000 - tag, sim_.now().ns());
     // The final callback's key is the last draw: the same-instant events
@@ -452,7 +459,7 @@ class ChainWorld {
                       static_cast<std::int64_t>(sim_.scheduled_events()));
   }
 
-  void truncate(int c) {
+  void truncate(std::size_t c) {
     Chain& chain = chains_[c];
     if (chain.id == kNoEvent) return;
     if (stepped_) {
@@ -462,7 +469,7 @@ class ChainWorld {
     }
   }
 
-  void cancel(int c) {
+  void cancel(std::size_t c) {
     Chain& chain = chains_[c];
     if (chain.id == kNoEvent) return;
     EXPECT_TRUE(sim_.cancel(chain.id));
@@ -471,7 +478,8 @@ class ChainWorld {
 
   void background(int payload) {
     log_.emplace_back(payload, sim_.now().ns());
-    const int c = std::uniform_int_distribution<int>(0, kChains - 1)(rng_);
+    const std::size_t c =
+        std::uniform_int_distribution<std::size_t>(0, chains_.size() - 1)(rng_);
     const int r = roll();
     if (r < 15) {
       truncate(c);
@@ -492,40 +500,58 @@ class ChainWorld {
   bool stepped_;
   std::mt19937_64 rng_;
   Simulation sim_;
-  Chain chains_[kChains];
+  std::vector<Chain> chains_;
+  int minority_percent_;
   std::vector<std::pair<int, std::int64_t>> log_;
   int next_payload_ = 40;
   int next_tag_ = 0;
 };
 
+/// Runs the same seeded ChainWorld eagerly and stepped, to quiescence in
+/// random run_until/step_until slices, and demands identical observables
+/// after every slice.
+void expect_stepped_matches_eager(std::uint64_t seed, std::size_t chains,
+                                  int minority_percent) {
+  ChainWorld eager(false, seed, chains, minority_percent);
+  ChainWorld stepped(true, seed, chains, minority_percent);
+  eager.start();
+  stepped.start();
+  std::mt19937_64 limits(seed ^ 0x9e3779b97f4a7c15ull);
+  SimTime limit;
+  while (!eager.sim().idle() || !stepped.sim().idle()) {
+    limit += ns(std::uniform_int_distribution<int>(0, 40)(limits));
+    const bool by_steps = (limits() & 1u) != 0;
+    eager.advance(limit, by_steps);
+    stepped.advance(limit, by_steps);
+    ASSERT_EQ(stepped.log(), eager.log());
+    // Never a step past the limit: every eager chain event at or before
+    // it has fired, and exactly those were stepped.
+    ASSERT_EQ(stepped.sim().fired_events() + stepped.sim().steps_taken(),
+              eager.sim().fired_events());
+    ASSERT_EQ(stepped.sim().scheduled_events(),
+              eager.sim().scheduled_events());
+    ASSERT_EQ(stepped.sim().pending_events(), eager.sim().pending_events());
+    ASSERT_EQ(stepped.sim().now(), eager.sim().now());
+  }
+  EXPECT_EQ(stepped.sim().peak_pending_events(),
+            eager.sim().peak_pending_events());
+  EXPECT_GT(stepped.sim().steps_taken(), 0u);
+  EXPECT_EQ(eager.sim().steps_taken(), 0u);
+}
+
 TEST(EventQueueModel, SteppedEventMatchesEagerChain) {
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ChainWorld eager(false, seed);
-    ChainWorld stepped(true, seed);
-    eager.start();
-    stepped.start();
-    std::mt19937_64 limits(seed ^ 0x9e3779b97f4a7c15ull);
-    SimTime limit;
-    while (!eager.sim().idle() || !stepped.sim().idle()) {
-      limit += ns(std::uniform_int_distribution<int>(0, 40)(limits));
-      const bool by_steps = (limits() & 1u) != 0;
-      eager.advance(limit, by_steps);
-      stepped.advance(limit, by_steps);
-      ASSERT_EQ(stepped.log(), eager.log());
-      // Never a step past the limit: every eager chain event at or before
-      // it has fired, and exactly those were stepped.
-      ASSERT_EQ(stepped.sim().fired_events() + stepped.sim().steps_taken(),
-                eager.sim().fired_events());
-      ASSERT_EQ(stepped.sim().scheduled_events(),
-                eager.sim().scheduled_events());
-      ASSERT_EQ(stepped.sim().pending_events(), eager.sim().pending_events());
-      ASSERT_EQ(stepped.sim().now(), eager.sim().now());
-    }
-    EXPECT_EQ(stepped.sim().peak_pending_events(),
-              eager.sim().peak_pending_events());
-    EXPECT_GT(stepped.sim().steps_taken(), 0u);
-    EXPECT_EQ(eager.sim().steps_taken(), 0u);
+    expect_stepped_matches_eager(seed, 2, 50);
+  }
+  // A machine's worth of chains: most share the 10 ns step, so their steps
+  // append to the step lane; the 15 ns minority and deadline-clipped keys
+  // fall out of lane order and stay in the heap. Truncates and cancels hit
+  // the lane's front and the entries behind it, and cancelled slots are
+  // reused at once.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("64 chains, seed " + std::to_string(seed));
+    expect_stepped_matches_eager(seed, 64, 15);
   }
 }
 
@@ -581,6 +607,93 @@ TEST(EventQueueModel, DiscardDropsSteppedEventsWhole) {
   EXPECT_EQ(queue.discard_all(), 2u);
   EXPECT_EQ(queue.steps_taken(), 0u);
   EXPECT_TRUE(queue.empty());
+}
+
+// --- the step lane ------------------------------------------------------
+//
+// Stepped events on one 10 ns step: the first founds the step lane (its
+// front, in the heap) and the next join behind it. These pin each place the
+// next lane entry must be promoted into the heap; without the promotion the
+// entry behind is stranded and never surfaces.
+
+TEST(EventQueueModel, StepLanePromotesBehindAFiredFront) {
+  EventQueue queue;
+  const EventId a = queue.schedule_stepped(ns(10), ns(10), ns(30), [] {});
+  const EventId b = queue.schedule_stepped(ns(11), ns(10), ns(100), [] {});
+  EventQueue::Fired out;
+  ASSERT_TRUE(queue.pop_if_at_most(ns(1000), out));
+  EXPECT_EQ(out.id, a);
+  EXPECT_EQ(out.time, ns(30));
+  ASSERT_TRUE(queue.pop_if_at_most(ns(1000), out));
+  EXPECT_EQ(out.id, b);
+  EXPECT_EQ(out.time, ns(100));
+  EXPECT_EQ(queue.steps_taken(), 2u + 9u);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueModel, StepLanePromotesBehindACancelledFront) {
+  EventQueue queue;
+  const EventId a = queue.schedule_stepped(ns(10), ns(10), ns(1000), [] {});
+  const EventId b = queue.schedule_stepped(ns(11), ns(10), ns(45), [] {});
+  EventQueue::Fired out;
+  EXPECT_FALSE(queue.pop_if_at_most(ns(15), out));  // a at 20, b behind at 21
+  EXPECT_TRUE(queue.cancel(a));
+  // The stale front is dropped when it surfaces, and b takes its place.
+  ASSERT_TRUE(queue.pop_if_at_most(ns(1000), out));
+  EXPECT_EQ(out.id, b);
+  EXPECT_EQ(out.time, ns(45));
+  EXPECT_EQ(queue.steps_taken(), 2u + 3u);
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueModel, StepLaneFrontSlotReuseAfterCancel) {
+  // The cancelled front's slot goes straight to the next schedule (LIFO
+  // reuse), so the new occupant shares the front's slot index and differs
+  // only in generation.
+  EventQueue queue;
+  std::vector<int> fired;
+  const EventId a = queue.schedule_stepped(
+      ns(10), ns(10), ns(1000), [&fired] { fired.push_back(0); });
+  const EventId b = queue.schedule_stepped(
+      ns(11), ns(10), ns(41), [&fired] { fired.push_back(1); });
+  EventQueue::Fired out;
+  EXPECT_FALSE(queue.pop_if_at_most(ns(15), out));
+  EXPECT_TRUE(queue.cancel(a));
+  const EventId c = queue.schedule_stepped(
+      ns(12), ns(10), ns(32), [&fired] { fired.push_back(2); });
+  const EventId d =
+      queue.schedule(ns(25), [&fired] { fired.push_back(3); });
+  EXPECT_EQ(static_cast<std::uint32_t>(c), static_cast<std::uint32_t>(a));
+  EXPECT_TRUE(queue.truncate(b));  // b behind the front: fires at 21
+  while (!queue.empty()) {
+    out = queue.pop();
+    out.callback();
+  }
+  EXPECT_EQ(fired, (std::vector<int>{1, 3, 2}));
+  EXPECT_FALSE(queue.cancel(a));
+  EXPECT_FALSE(queue.cancel(c));
+  EXPECT_FALSE(queue.cancel(d));
+}
+
+TEST(EventQueueModel, DiscardDropsTheWholeStepLane) {
+  EventQueue queue;
+  auto token = std::make_shared<int>(0);
+  for (int i = 0; i < 3; ++i) {
+    queue.schedule_stepped(ns(10 + i), ns(10), ns(1000), [token] {});
+  }
+  EventQueue::Fired out;
+  EXPECT_FALSE(queue.pop_if_at_most(ns(15), out));  // the lane holds all 3
+  EXPECT_EQ(queue.steps_taken(), 3u);
+  EXPECT_EQ(token.use_count(), 4);
+  EXPECT_EQ(queue.discard_all(), 3u);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(token.use_count(), 1);  // every callback destroyed, none fired
+  EXPECT_EQ(queue.steps_taken(), 3u);
+  // The emptied queue founds a fresh lane.
+  const EventId e = queue.schedule_stepped(ns(20), ns(10), ns(40), [] {});
+  ASSERT_TRUE(queue.pop_if_at_most(ns(1000), out));
+  EXPECT_EQ(out.id, e);
+  EXPECT_EQ(out.time, ns(40));
 }
 
 TEST(EventQueueModel, StepUntilMovesTheClockToTheLastStep) {
