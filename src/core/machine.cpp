@@ -134,6 +134,7 @@ void Multicomputer::wire_observability() {
   // --- event-kernel self-profile ----------------------------------------
   reg.probe("kernel.events_fired",
             [this] { return static_cast<double>(sim_.fired_events()); });
+  // Every silent step: quantum boundaries and folded switch ends alike.
   reg.probe("kernel.quantum_steps",
             [this] { return static_cast<double>(sim_.steps_taken()); });
   reg.probe("kernel.events_scheduled",

@@ -86,10 +86,12 @@ struct MachineConfig {
 
 /// Aggregate machine counters collected after a run.
 struct MachineStats {
-  /// Events fired. The silent quantum boundaries of stepped CPU charges are
-  /// counted apart, in quantum_steps: events + quantum_steps is the count of
-  /// a run that fires one event per quantum.
+  /// Events fired. The silent steps of stepped CPU charges are counted
+  /// apart, in quantum_steps: events + quantum_steps is the count of a run
+  /// that fires one event per quantum and one per context switch.
   std::uint64_t events = 0;
+  /// Silent steps: the quantum boundaries of stepped charges, and the ends
+  /// of the context switches folded into the charge behind them.
   std::uint64_t quantum_steps = 0;
   /// High-water mark of the kernel's pending-event set (scaling studies:
   /// grows with machine size, and heap operations cost O(log) of it).

@@ -6,6 +6,7 @@
 // memory pressure the paper measures under high multiprogramming levels.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -27,12 +28,17 @@ class Mailbox {
   }
 
   /// Removes and returns the oldest message matching `tag` (kAnyTag matches
-  /// everything); nullopt if none is waiting.
+  /// everything); nullopt if none is waiting. O(1) when the oldest message
+  /// matches, as almost every take does.
   std::optional<Delivered> take(int tag) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (tag == kAnyTag || it->message.tag == tag) {
-        Delivered d = std::move(*it);
-        queue_.erase(it);
+    for (std::size_t i = head_; i < queue_.size(); ++i) {
+      if (tag == kAnyTag || queue_[i].message.tag == tag) {
+        Delivered d = std::move(queue_[i]);
+        if (i == head_) {
+          drop_front();
+        } else {
+          queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+        }
         return d;
       }
     }
@@ -41,27 +47,43 @@ class Mailbox {
 
   /// True if a message matching `tag` is waiting.
   [[nodiscard]] bool has(int tag) const {
-    for (const auto& d : queue_) {
-      if (tag == kAnyTag || d.message.tag == tag) return true;
+    for (std::size_t i = head_; i < queue_.size(); ++i) {
+      if (tag == kAnyTag || queue_[i].message.tag == tag) return true;
     }
     return false;
   }
 
-  [[nodiscard]] std::size_t size() const { return queue_.size(); }
-  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t size() const { return queue_.size() - head_; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
   /// Bytes of node memory currently pinned by undelivered messages.
   [[nodiscard]] std::size_t buffered_bytes() const {
     std::size_t total = 0;
-    for (const auto& d : queue_) total += d.buffer.size();
+    for (std::size_t i = head_; i < queue_.size(); ++i) {
+      total += queue_[i].buffer.size();
+    }
     return total;
   }
 
  private:
-  /// Arrival order, oldest first. Mailboxes are shallow (a handful of
-  /// in-flight messages), so a vector's shifting erase is cheap -- and unlike
-  /// a deque it allocates nothing at construction, which matters because
-  /// every Process embeds one.
+  /// Consumes the front entry. The consumed prefix is erased once it is
+  /// half the vector, so each entry moves O(1) times however deep the
+  /// mailbox stays.
+  void drop_front() {
+    ++head_;
+    if (2 * head_ >= queue_.size()) {
+      queue_.erase(queue_.begin(),
+                   queue_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+  /// Arrival order, oldest first, from head_ on; entries before head_ were
+  /// taken (moved from). Mailboxes on a busy node run dozens deep, so a
+  /// take from the front advances the cursor instead of shifting the rest.
+  /// Unlike a deque, a vector allocates nothing at construction, which
+  /// matters because every Process embeds a mailbox.
   std::vector<Delivered> queue_;
+  std::size_t head_ = 0;
 };
 
 }  // namespace tmc::node

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <variant>
 
 namespace tmc::node {
@@ -242,7 +243,7 @@ void Transputer::dispatch() {
     if (last_ran_ != current_) {
       last_ran_ = current_;
       ++context_switches_;
-      plan_charge(ChargeKind::kContext, params_.context_switch);
+      plan_switch(*current_);
       return;
     }
   }
@@ -271,9 +272,11 @@ void Transputer::continue_low() {
   assert(p.pc_ < p.program_.ops.size() && "script must end with ExitOp");
   const Op& op = p.program_.ops[p.pc_];
 
-  if (const auto* compute = std::get_if<ComputeOp>(&op)) {
+  if (const auto cost = cpu_cost(op)) {
+    // A compute burst, or a ControlOp: charged like one (preemptible, spans
+    // quanta); its action runs in complete_op once the cost is fully paid.
     if (p.phase_ == Process::OpPhase::kInit) {
-      p.compute_remaining_ = compute->cost;
+      p.compute_remaining_ = *cost;
       p.phase_ = Process::OpPhase::kCopy;
     }
     plan_op(p);
@@ -327,17 +330,6 @@ void Transputer::continue_low() {
     return;
   }
 
-  if (const auto* ctl = std::get_if<ControlOp>(&op)) {
-    // Charged like a compute burst (preemptible, spans quanta); the action
-    // itself runs in complete_op once the cost is fully paid.
-    if (p.phase_ == Process::OpPhase::kInit) {
-      p.compute_remaining_ = ctl->cost;
-      p.phase_ = Process::OpPhase::kCopy;
-    }
-    plan_op(p);
-    return;
-  }
-
   if (const auto* alloc = std::get_if<AllocOp>(&op)) {
     p.state_ = ProcessState::kBlockedMem;
     current_ = nullptr;
@@ -376,12 +368,21 @@ void Transputer::plan_charge(ChargeKind kind, sim::SimTime amount) {
   charge_event_ = sim_.schedule(amount, [this] { on_charge_done(); });
 }
 
+std::optional<sim::SimTime> Transputer::cpu_cost(const Op& op) {
+  if (const auto* compute = std::get_if<ComputeOp>(&op)) return compute->cost;
+  if (const auto* ctl = std::get_if<ControlOp>(&op)) return ctl->cost;
+  return std::nullopt;
+}
+
+bool Transputer::alone() const {
+  return low_queue_.empty() && high_queue_.empty() && service_queue_.empty();
+}
+
 void Transputer::plan_op(Process& p) {
   // The per-quantum charges are the reference behaviour, and the timeline
   // records each of them, so an armed CPU keeps them.
   if (timeline_ != nullptr || p.compute_remaining_ <= quantum_left_ ||
-      !low_queue_.empty() || !high_queue_.empty() ||
-      !service_queue_.empty()) {
+      !alone()) {
     plan_charge(ChargeKind::kOp,
                 std::min(p.compute_remaining_, quantum_left_));
     return;
@@ -391,13 +392,50 @@ void Transputer::plan_op(Process& p) {
   // which truncates the charge back to its next boundary. The kernel steps
   // the boundaries with the draws the per-quantum events would make, so
   // event order is unchanged; settle_chain() replays their side effects.
+  charge_started_ = sim_.now();
+  plan_stepped(quantum_left_, p.compute_remaining_);
+}
+
+void Transputer::plan_switch(Process& p) {
+  const sim::SimTime ctx = params_.context_switch;
+  if (timeline_ != nullptr || ctx <= sim::SimTime::zero() ||
+      !stage_cpu_charge(p)) {
+    plan_charge(ChargeKind::kContext, ctx);
+    return;
+  }
+  // The op charge the switch's end would plan (plan_op, with the queues as
+  // they are now) follows as the same stepped entry: the switch is its
+  // first step, which draws the sequence number that charge's schedule
+  // would draw, at the same moment. A competitor arriving during the
+  // switch truncates the entry to the switch's end, where on_charge_done
+  // takes the eager path; an interruption before the step is accounted as
+  // an interrupted switch.
+  const sim::SimTime run = alone()
+                               ? p.compute_remaining_
+                               : std::min(p.compute_remaining_, quantum_left_);
+  switch_end_ = sim_.now() + ctx;
+  charge_started_ = switch_end_;
+  plan_stepped(ctx, ctx + run);
+}
+
+bool Transputer::stage_cpu_charge(Process& p) {
+  if (p.phase_ == Process::OpPhase::kInit) {
+    // Only a Compute or Control op starts as a pure CPU charge: every other
+    // op touches the MMU or the mailbox when it starts.
+    const auto cost = cpu_cost(p.program_.ops[p.pc_]);
+    if (!cost || *cost <= sim::SimTime::zero()) return false;
+    p.compute_remaining_ = *cost;
+    p.phase_ = Process::OpPhase::kCopy;
+  }
+  return p.compute_remaining_ > sim::SimTime::zero();
+}
+
+void Transputer::plan_stepped(sim::SimTime first, sim::SimTime deadline) {
   assert(charge_event_ == sim::kNoEvent);
   charge_kind_ = ChargeKind::kOp;
-  charge_started_ = sim_.now();
   stepped_ = true;
   set_busy(true);
-  charge_event_ = sim_.schedule_stepped(quantum_left_, p.quantum(),
-                                        p.compute_remaining_,
+  charge_event_ = sim_.schedule_stepped(first, current_->quantum(), deadline,
                                         [this] { on_charge_done(); });
 }
 
@@ -441,8 +479,14 @@ void Transputer::on_charge_done() {
   const ChargeKind kind = charge_kind_;
   charge_kind_ = ChargeKind::kNone;
   if (stepped_) {
-    settle_chain(sim_.now());  // the kernel stepped every boundary before now
     stepped_ = false;
+    if (sim_.now() == switch_end_) {
+      // A folded switch truncated before its first step: only the switch
+      // ran. Carry on from its end, as the switch charge's completion does.
+      continue_low();
+      return;
+    }
+    settle_chain(sim_.now());  // the kernel stepped every boundary before now
   }
   const sim::SimTime amount = sim_.now() - charge_started_;
   if (timeline_ != nullptr) {
@@ -510,6 +554,11 @@ void Transputer::on_charge_done() {
 Process& Transputer::interrupt_low_charge() {
   assert(charge_kind_ == ChargeKind::kOp ||
          charge_kind_ == ChargeKind::kContext);
+  // A folded switch whose first step is still pending is a switch in
+  // progress, whichever order same-instant events at its end arrive in.
+  const bool in_switch =
+      charge_kind_ == ChargeKind::kContext ||
+      (stepped_ && sim_.pending_time(charge_event_) == switch_end_);
   settle();
   stepped_ = false;
   const bool cancelled = sim_.cancel(charge_event_);
@@ -521,9 +570,13 @@ Process& Transputer::interrupt_low_charge() {
 
   Process& p = *current_;
   ++p.preemptions_;
+  // (An armed CPU never folds a switch, so `kind` is the recorded one.)
   record_charge(kind, charge_started_, sim_.now() - charge_started_,
                 static_cast<double>(p.id()));
-  if (kind == ChargeKind::kOp) {
+  if (in_switch) {
+    // The interrupted context switch must be paid again later.
+    last_ran_ = nullptr;
+  } else {
     const sim::SimTime elapsed = sim_.now() - charge_started_;
     p.cpu_time_ += elapsed;
     p.compute_remaining_ -= elapsed;
@@ -536,9 +589,6 @@ Process& Transputer::interrupt_low_charge() {
         !std::holds_alternative<ControlOp>(p.program_.ops[p.pc_])) {
       complete_op(p);
     }
-  } else {
-    // The interrupted context switch must be paid again later.
-    last_ran_ = nullptr;
   }
   current_ = nullptr;
   return p;

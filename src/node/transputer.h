@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 
 #include "mem/mmu.h"
 #include "node/process.h"
@@ -182,6 +183,22 @@ class Transputer {
   /// becomes one stepped charge whose quantum boundaries the kernel steps
   /// silently; otherwise one quantum-bounded charge.
   void plan_op(Process& p);
+  /// Plans the context switch to `p`. When no timeline is attached and the
+  /// op at `p`'s pc is a pure CPU charge at the switch's end, the switch is
+  /// folded into that charge: one stepped entry whose first step is the
+  /// switch's end (switch_end_). Otherwise the switch is its own charge.
+  void plan_switch(Process& p);
+  /// True when the op at p's pc is a pure CPU charge: a Compute or Control
+  /// op of positive cost (whose remaining cost it stages, entering the copy
+  /// phase), or any op in its copy phase with cost left to pay.
+  bool stage_cpu_charge(Process& p);
+  /// Plans a stepped kOp charge of current_ (steps of its quantum).
+  void plan_stepped(sim::SimTime first, sim::SimTime deadline);
+  /// No queued competitor for the CPU: high work, daemon work or a ready
+  /// process.
+  [[nodiscard]] bool alone() const;
+  /// The CPU cost of a Compute or Control op; nullopt for other ops.
+  static std::optional<sim::SimTime> cpu_cost(const Op& op);
   /// A competitor arrived: a stepped charge must stop at its next boundary,
   /// where the per-quantum callback would find the CPU shared.
   void truncate_chain();
@@ -245,9 +262,14 @@ class Transputer {
   bool pump_scheduled_ = false;
   bool crashed_ = false;
   ChargeKind charge_kind_ = ChargeKind::kNone;
-  /// The in-flight kOp charge is stepped (see plan_op).
+  /// The in-flight kOp charge is stepped (see plan_op and plan_switch).
   bool stepped_ = false;
-  /// Start of the charge; for a stepped charge, of its unsettled part.
+  /// End of the switch folded in front of the in-flight stepped charge
+  /// (plan_switch); the charge is still in that prefix while its entry's
+  /// pending time equals this.
+  sim::SimTime switch_end_;
+  /// Start of the charge; for a stepped charge, of its unsettled part (for
+  /// a folded switch, the switch's end).
   sim::SimTime charge_started_;
 
   sim::BusyTracker busy_tracker_;

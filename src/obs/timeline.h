@@ -3,7 +3,7 @@
 // The simulator's event record: fixed-size binary records that exporters
 // can turn into Chrome trace_event JSON (Perfetto-loadable).
 // Components record against pre-registered tracks (one per node, link, and
-// partition) using interned name ids, so a record is a 32-byte append with
+// partition) using interned name ids, so a record is a 48-byte append with
 // no formatting or allocation beyond vector growth.
 //
 // Ownership mirrors the metrics registry: the machine wires components with
@@ -52,6 +52,8 @@ struct TimelineRecord {
   double value = 0.0;  // sample value; span/instant auxiliary arg (e.g. pid)
   std::uint64_t id = 0;  // async span group / flow pairing id
 };
+static_assert(sizeof(TimelineRecord) == 48,
+              "the header comment states the record size");
 
 class Timeline {
  public:

@@ -6,21 +6,18 @@
 
 namespace tmc::sim {
 
-SlotHandle EventQueue::acquire_slot(Callback cb) {
+SlotHandle EventQueue::acquire_slot() {
   // One queue serves a whole simulation and routinely holds thousands of
   // pending events; the pool reserves kInitialSlots up front and doubles
   // after that, and the heap array follows it, so neither relocates on the
   // schedule hot path.
   const SlotHandle handle = slots_.acquire(
       [this](std::size_t capacity) { heap_.reserve(capacity); });
-  Slot& slot = slots_[handle.index];
-  slot.callback = std::move(cb);
-  slot.stepped = false;
+  slots_[handle.index].stepped = false;
   return handle;
 }
 
-EventId EventQueue::schedule(SimTime at, Callback cb) {
-  const SlotHandle slot = acquire_slot(std::move(cb));
+EventId EventQueue::place(SimTime at, SlotHandle slot) {
   if (fifo_eligible(at)) {
     now_fifo_.push_back(Entry{at, ++scheduled_, slot});
   } else {
@@ -30,11 +27,10 @@ EventId EventQueue::schedule(SimTime at, Callback cb) {
   return make_id(slot);
 }
 
-EventId EventQueue::schedule_stepped(SimTime first, SimTime step,
-                                     SimTime deadline, Callback cb) {
+EventId EventQueue::place_stepped(SimTime first, SimTime step,
+                                  SimTime deadline, SlotHandle slot) {
   assert(step > SimTime::zero() && "a stepped event must advance");
   assert(first <= deadline);
-  const SlotHandle slot = acquire_slot(std::move(cb));
   slots_[slot.index].stepped = true;
   if (slot.index >= stepping_.size()) stepping_.resize(slots_.size());
   stepping_[slot.index] = Stepping{first, step, deadline};
@@ -173,30 +169,39 @@ bool EventQueue::step_top() {
   return true;
 }
 
-EventQueue::Fired EventQueue::pop_fifo_front() {
-  const Entry e = now_fifo_[now_head_++];
+void EventQueue::take_slot(Entry e, Fired& out) {
   current_ = e.time;
-  Fired fired{e.time, make_id(e.slot),
-              std::move(slots_[e.slot.index].callback)};
+  out.time = e.time;
+  out.id = make_id(e.slot);
+  // Destroy the callback `out` held before reading the slot: its teardown
+  // could schedule, and a schedule can grow the pool.
+  out.callback = nullptr;
+  out.callback = std::move(slots_[e.slot.index].callback);
   slots_.retire(e.slot.index);
-  return fired;
 }
 
-EventQueue::Fired EventQueue::pop_heap_top() {
+void EventQueue::take_fifo_front(Fired& out) {
+  take_slot(now_fifo_[now_head_++], out);
+}
+
+void EventQueue::take_heap_top(Fired& out) {
   const Entry top = heap_.front();
   remove_top();
-  current_ = top.time;
-  Fired fired{top.time, make_id(top.slot),
-              std::move(slots_[top.slot.index].callback)};
-  slots_.retire(top.slot.index);
-  return fired;
+  take_slot(top, out);
 }
 
 EventQueue::Fired EventQueue::pop() {
+  Fired fired;
   for (;;) {
-    if (lane_leads()) return pop_fifo_front();
+    if (lane_leads()) {
+      take_fifo_front(fired);
+      return fired;
+    }
     assert(!heap_.empty() && "pop() on empty EventQueue");
-    if (!step_top()) return pop_heap_top();
+    if (!step_top()) {
+      take_heap_top(fired);
+      return fired;
+    }
   }
 }
 
@@ -204,7 +209,7 @@ bool EventQueue::pop_if_at_most(SimTime limit, Fired& out) {
   for (;;) {
     if (lane_leads()) {
       if (now_fifo_[now_head_].time > limit) return false;
-      out = pop_fifo_front();
+      take_fifo_front(out);
       return true;
     }
     // A step is taken only where the eager chain's event would have fired,
@@ -212,16 +217,22 @@ bool EventQueue::pop_if_at_most(SimTime limit, Fired& out) {
     if (heap_.empty() || heap_.front().time > limit) return false;
     if (!step_top()) break;
   }
-  out = pop_heap_top();
+  take_heap_top(out);
   return true;
 }
 
 std::size_t EventQueue::discard_all() {
   std::size_t n = 0;
   while (!empty()) {
-    // Pops without stepping: a stepped event goes in one piece.
-    Fired fired = lane_leads() ? pop_fifo_front() : pop_heap_top();
-    (void)fired;  // callback destroyed here; may enqueue new events
+    // Pops without stepping: a stepped event goes in one piece. The
+    // callback is destroyed at the end of each pass; that may enqueue new
+    // events.
+    Fired fired;
+    if (lane_leads()) {
+      take_fifo_front(fired);
+    } else {
+      take_heap_top(fired);
+    }
     ++n;
   }
   return n;

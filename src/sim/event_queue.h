@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/slot_pool.h"
@@ -26,10 +27,13 @@ inline constexpr EventId kNoEvent = 0;
 /// SlotPool that stores the callbacks inline. The hot schedule/pop path
 /// touches only the heap array and one pool slot -- no hashing anywhere --
 /// and with UniqueFunction's small-buffer storage a typical event never
-/// allocates. An EventId encodes the slot's SlotHandle; cancel() destroys
-/// the callback and retires the slot immediately, leaving the heap entry to
-/// be skipped when it surfaces (the generation tag detects staleness even
-/// after the slot has been reused).
+/// allocates. The schedule calls are templates that build the caller's
+/// callable directly in its slot, and a pop moves it from the slot into
+/// the caller's Fired record: one construction and one move per event.
+/// An EventId encodes the slot's SlotHandle; cancel() destroys the callback
+/// and retires the slot immediately, leaving the heap entry to be skipped
+/// when it surfaces (the generation tag detects staleness even after the
+/// slot has been reused).
 ///
 /// Same-instant fast lane: an event scheduled for exactly the time of the
 /// most recently popped event (a zero-delay cascade -- dispatch pumps, gang
@@ -84,8 +88,14 @@ class EventQueue {
   ~EventQueue() { discard_all(); }
 
   /// Schedules `cb` to fire at absolute time `at`. Returns a handle that can
-  /// be passed to `cancel`.
-  EventId schedule(SimTime at, Callback cb);
+  /// be passed to `cancel`. `cb` is any callable Callback accepts; it is
+  /// constructed in its slot.
+  template <typename F>
+  EventId schedule(SimTime at, F&& cb) {
+    const SlotHandle slot = acquire_slot();
+    slots_[slot.index].callback.emplace(std::forward<F>(cb));
+    return place(at, slot);
+  }
 
   /// Schedules a stepped event: it surfaces at `first`, then every `step`
   /// (> 0), with the last step clipped to `deadline` (>= `first`). Every
@@ -93,8 +103,13 @@ class EventQueue {
   /// with a freshly drawn sequence number and nothing runs. `cb` fires when
   /// the entry surfaces at its deadline. Steps are counted by
   /// steps_taken(), not as pops.
+  template <typename F>
   EventId schedule_stepped(SimTime first, SimTime step, SimTime deadline,
-                           Callback cb);
+                           F&& cb) {
+    const SlotHandle slot = acquire_slot();
+    slots_[slot.index].callback.emplace(std::forward<F>(cb));
+    return place_stepped(first, step, deadline, slot);
+  }
 
   /// Moves a pending stepped event's deadline to its current key, so its
   /// callback fires at the next surfacing (with the key the eager chain
@@ -129,7 +144,9 @@ class EventQueue {
   /// only if its time is <= `limit`. Returns false (leaving `out` untouched)
   /// when the queue is empty or the earliest event lies beyond the limit.
   /// Equivalent to `!empty() && next_time() <= limit` followed by `pop()`,
-  /// but walks the stale-entry lazy-deletion pass once instead of twice.
+  /// but walks the stale-entry lazy-deletion pass once instead of twice,
+  /// and moves the callback from its slot straight into `out` (destroying
+  /// the one `out` held).
   bool pop_if_at_most(SimTime limit, Fired& out);
 
   /// Total events ever scheduled (monotone; includes cancelled ones). Each
@@ -197,9 +214,14 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  /// Takes a pool slot and moves `cb` into it. Shared by every schedule
-  /// path; keeps the heap reserved alongside the pool.
-  SlotHandle acquire_slot(Callback cb);
+  /// Takes a pool slot for a new event (its callback is empty). Shared by
+  /// every schedule path; keeps the heap reserved alongside the pool.
+  SlotHandle acquire_slot();
+  /// Queues the plain event in `slot` at `at`, drawing its sequence number.
+  EventId place(SimTime at, SlotHandle slot);
+  /// Queues the stepped event in `slot` (see schedule_stepped).
+  EventId place_stepped(SimTime first, SimTime step, SimTime deadline,
+                        SlotHandle slot);
 
   /// True when `id` names a pending event. Ids arrive from callers, so the
   /// slot index is range-checked: kNoEvent and ids this queue never issued
@@ -219,8 +241,11 @@ class EventQueue {
   /// its deadline: re-keys it (in the heap or onto the step lane) and
   /// returns true.
   bool step_top();
-  /// Removes the (live) heap top as a Fired record.
-  Fired pop_heap_top();
+  /// Removes the (live) heap top into `out`.
+  void take_heap_top(Fired& out);
+  /// Moves the callback of the just-removed entry `e` into `out` and
+  /// retires its slot.
+  void take_slot(Entry e, Fired& out);
   // Lazy deletion happens on the read path (next_time is const), so the
   // heap and step-lane maintenance helpers are const over mutable state.
   void drop_stale_top() const;
@@ -243,8 +268,8 @@ class EventQueue {
   [[nodiscard]] bool fifo_eligible(SimTime at) const {
     return at == current_ && (fifo_drained() || now_fifo_.back().time == at);
   }
-  /// Consumes the front lane entry (already known live) as a Fired record.
-  Fired pop_fifo_front();
+  /// Consumes the front lane entry (already known live) into `out`.
+  void take_fifo_front(Fired& out);
 
   /// True when `slot` is the step lane's front: index and generation both.
   [[nodiscard]] bool is_step_front(SlotHandle slot) const {

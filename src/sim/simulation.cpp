@@ -3,30 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <ostream>
-#include <utility>
 
 namespace tmc::sim {
 
 std::ostream& operator<<(std::ostream& os, SimTime t) {
   return os << t.to_seconds() << "s";
-}
-
-EventId Simulation::schedule(SimTime delay, EventQueue::Callback cb) {
-  assert(!delay.is_negative() && "negative delay");
-  return queue_.schedule(now_ + delay, std::move(cb));
-}
-
-EventId Simulation::schedule_at(SimTime at, EventQueue::Callback cb) {
-  assert(at >= now_ && "scheduling into the past");
-  return queue_.schedule(at, std::move(cb));
-}
-
-EventId Simulation::schedule_stepped(SimTime first, SimTime step,
-                                     SimTime deadline,
-                                     EventQueue::Callback cb) {
-  assert(!first.is_negative() && "negative delay");
-  return queue_.schedule_stepped(now_ + first, step, now_ + deadline,
-                                 std::move(cb));
 }
 
 std::uint64_t Simulation::run(std::uint64_t max_events) {

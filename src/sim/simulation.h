@@ -1,9 +1,11 @@
 // tmcsim -- discrete-event simulation kernel.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/time.h"
@@ -25,18 +27,35 @@ class Simulation {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const { return now_; }
 
+  // The schedule calls take any callable EventQueue::Callback accepts and
+  // forward it to the queue, which builds it in its slot: a lambda is
+  // never wrapped in a temporary Callback on the way.
+
   /// Schedules `cb` after `delay` (>= 0) from now.
-  EventId schedule(SimTime delay, EventQueue::Callback cb);
+  template <typename F>
+  EventId schedule(SimTime delay, F&& cb) {
+    assert(!delay.is_negative() && "negative delay");
+    return queue_.schedule(now_ + delay, std::forward<F>(cb));
+  }
 
   /// Schedules `cb` at absolute time `at` (>= now()).
-  EventId schedule_at(SimTime at, EventQueue::Callback cb);
+  template <typename F>
+  EventId schedule_at(SimTime at, F&& cb) {
+    assert(at >= now_ && "scheduling into the past");
+    return queue_.schedule(at, std::forward<F>(cb));
+  }
 
   /// Schedules a stepped event (see EventQueue::schedule_stepped): it
   /// surfaces `first` from now, then every `step`, and `cb` fires at
   /// `deadline` from now. Each surfacing before the deadline is a silent
   /// step, counted by steps_taken() instead of fired_events().
+  template <typename F>
   EventId schedule_stepped(SimTime first, SimTime step, SimTime deadline,
-                           EventQueue::Callback cb);
+                           F&& cb) {
+    assert(!first.is_negative() && "negative delay");
+    return queue_.schedule_stepped(now_ + first, step, now_ + deadline,
+                                   std::forward<F>(cb));
+  }
 
   /// Ends a pending stepped event at its next surfacing (see
   /// EventQueue::truncate).

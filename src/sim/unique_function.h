@@ -43,13 +43,23 @@ class UniqueFunction<R(Args...)> {
     requires(!std::is_same_v<std::decay_t<F>, UniqueFunction> &&
              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
   UniqueFunction(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::decay_t<F>;
-    if constexpr (stores_inline<D>()) {
-      ::new (static_cast<void*>(storage_.inline_bytes)) D(std::forward<F>(f));
-      vtable_ = &InlineOps<D>::vtable;
+    construct(std::forward<F>(f));
+  }
+
+  /// Replaces the held callable with one constructed from `f` in place, so
+  /// a container of UniqueFunctions (the event kernel's slot pool) takes a
+  /// callable without building a temporary UniqueFunction and relocating
+  /// it. An rvalue UniqueFunction is moved in.
+  template <typename F>
+    requires(std::is_same_v<F, UniqueFunction> ||
+             (!std::is_same_v<std::decay_t<F>, UniqueFunction> &&
+              std::is_invocable_r_v<R, std::decay_t<F>&, Args...>))
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<F, UniqueFunction>) {
+      *this = std::move(f);
     } else {
-      storage_.heap = new D(std::forward<F>(f));
-      vtable_ = &HeapOps<D>::vtable;
+      reset();
+      construct(std::forward<F>(f));
     }
   }
 
@@ -133,6 +143,18 @@ class UniqueFunction<R(Args...)> {
     // Relocation is just the pointer changing hands: memcpy covers it.
     static constexpr VTable vtable{&call, nullptr, &destroy, false};
   };
+
+  template <typename F>
+  void construct(F&& f) {
+    using D = std::decay_t<F>;
+    if constexpr (stores_inline<D>()) {
+      ::new (static_cast<void*>(storage_.inline_bytes)) D(std::forward<F>(f));
+      vtable_ = &InlineOps<D>::vtable;
+    } else {
+      storage_.heap = new D(std::forward<F>(f));
+      vtable_ = &HeapOps<D>::vtable;
+    }
+  }
 
   void move_from(UniqueFunction& other) noexcept {
     vtable_ = other.vtable_;

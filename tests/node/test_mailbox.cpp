@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "sim/simulation.h"
 
 namespace tmc::node {
@@ -88,6 +92,58 @@ TEST_F(MailboxTest, TakeTransfersBufferOwnership) {
     auto taken = box.take(1);
     ASSERT_TRUE(taken.has_value());
   }  // buffer destroyed here
+  EXPECT_EQ(mmu.bytes_used(), 0u);
+}
+
+TEST_F(MailboxTest, DeepMailboxMatchesAReferenceQueue) {
+  // Mailboxes run dozens deep with most takes at the front: a seeded mix of
+  // deposits, front takes and tagged takes (often from the middle) must
+  // keep arrival order, size, has() and buffered_bytes() of a plain list.
+  struct Ref {
+    int tag;
+    std::size_t bytes;
+  };
+  std::vector<Ref> ref;
+  std::uint64_t state = 7;
+  const auto roll = [&state](std::uint64_t n) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % n;
+  };
+  for (int i = 0; i < 4000; ++i) {
+    const std::uint64_t op = roll(10);
+    if (op < 5 || ref.size() < 8) {
+      const int tag = static_cast<int>(roll(3));
+      const std::size_t bytes = 1 + roll(16);
+      box.deposit(msg_with_tag(tag, bytes), block(bytes));
+      ref.push_back(Ref{tag, bytes});
+    } else {
+      const int tag = op < 9 ? kAnyTag : static_cast<int>(roll(3));
+      auto it = ref.begin();
+      while (it != ref.end() && tag != kAnyTag && it->tag != tag) ++it;
+      auto taken = box.take(tag);
+      ASSERT_EQ(taken.has_value(), it != ref.end());
+      if (taken) {
+        EXPECT_EQ(taken->message.tag, it->tag);
+        EXPECT_EQ(taken->message.bytes, it->bytes);
+        EXPECT_EQ(taken->buffer.size(), it->bytes);
+        ref.erase(it);
+      }
+    }
+    ASSERT_EQ(box.size(), ref.size());
+    std::size_t bytes = 0;
+    for (const Ref& r : ref) bytes += r.bytes;
+    EXPECT_EQ(box.buffered_bytes(), bytes);
+    EXPECT_EQ(mmu.bytes_used(), bytes);
+    for (int tag = 0; tag < 3; ++tag) {
+      const bool waiting =
+          std::any_of(ref.begin(), ref.end(),
+                      [tag](const Ref& r) { return r.tag == tag; });
+      EXPECT_EQ(box.has(tag), waiting);
+    }
+  }
+  while (box.take(kAnyTag)) {
+  }
+  EXPECT_TRUE(box.empty());
   EXPECT_EQ(mmu.bytes_used(), 0u);
 }
 

@@ -1,22 +1,28 @@
 // Twin tests of the Transputer's stepped charges.
 //
 // A process alone on its CPU runs a whole burst as one stepped kernel entry
-// whose quantum boundaries pass silently (Transputer::plan_op). A CPU with a
-// timeline attached keeps one event per quantum, so it is the reference:
-// every scenario below runs on a plain CPU and on an armed one, and the two
-// must agree on every counter, every completion instant and the order of
-// the daemon's slices. Each interaction with the running burst lands
-// strictly inside a quantum, and exactly on a boundary both before and
-// after the kernel's step at that instant.
+// whose quantum boundaries pass silently (Transputer::plan_op), and a
+// context switch into a CPU charge is folded into the charge behind it as
+// its first silent step (Transputer::plan_switch). A CPU with a timeline
+// attached keeps one event per switch and per quantum, so it is the
+// reference: every scenario below runs on a plain CPU and on an armed one,
+// and the two must agree on every counter, every completion instant and
+// the order of the daemon's slices. Each interaction with the running burst
+// lands strictly inside a quantum, and exactly on a boundary both before
+// and after the kernel's step at that instant; each interaction with a
+// folded switch lands inside it, at its end on both sides of its step, and
+// inside the first quantum after it.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mem/mmu.h"
+#include "net/message.h"
 #include "node/transputer.h"
 #include "obs/timeline.h"
 #include "sim/simulation.h"
@@ -49,6 +55,10 @@ struct Rig {
   Process& spawn(net::EndpointId id, SimTime cost) {
     Program prog;
     prog.compute(cost).exit();
+    return adopt(id, std::move(prog));
+  }
+
+  Process& adopt(net::EndpointId id, Program prog) {
     auto p = std::make_unique<Process>(id, 1, std::move(prog));
     p->bind_to_node(0);
     p->set_quantum(kQuantum);
@@ -107,39 +117,32 @@ enum class Path {
   kAbortAccounting,
 };
 
-/// Process 1 computes 20 ms, first behind one daemon item, then alone;
-/// `path` interacts with it once, at `timing`.
-void scenario(Rig& r, Path path, Timing timing) {
-  Process& p1 = r.spawn(1, SimTime::milliseconds(20));
-  Process& p2 = r.spawn(2, SimTime::milliseconds(3));
-  r.cpu.make_ready(p1);
-  r.service(0, kFirstSlice);
+/// The one interaction `path` makes with process 1 (process 2 is the
+/// competitor it may bring in).
+std::function<void()> interaction(Rig& r, Path path, Process& p1,
+                                  Process& p2) {
   switch (path) {
     case Path::kMakeReady:
-      at(r, timing, [&r, &p2] { r.cpu.make_ready(p2); });
-      break;
+      return [&r, &p2] { r.cpu.make_ready(p2); };
     case Path::kPostService:
-      at(r, timing, [&r] {
+      return [&r] {
         r.service(1, SimTime::microseconds(300));
         r.service(2, SimTime::milliseconds(3));
-      });
-      break;
+      };
     case Path::kCrashRestore:
-      at(r, timing, [&r] {
+      return [&r] {
         r.cpu.crash();
         r.sim.schedule(SimTime::milliseconds(3), [&r] { r.cpu.restore(); });
-      });
-      break;
+      };
     case Path::kPostHigh:
-      at(r, timing, [&r] {
+      return [&r] {
         r.cpu.post_high(SimTime::microseconds(200), [&r] { r.note("high"); });
-      });
-      break;
+      };
     case Path::kGang:
       // A gang switch: p1's turn ends, p2's begins, and a message for the
       // daemon arrives at the same instant. Whose slice comes next depends
       // on the daemon's turn, which p1's silent boundaries handed it.
-      at(r, timing, [&r, &p1, &p2] {
+      return [&r, &p1, &p2] {
         r.cpu.suspend(p1);
         r.cpu.make_ready(p2);
         r.service(1, SimTime::microseconds(300));
@@ -147,26 +150,34 @@ void scenario(Rig& r, Path path, Timing timing) {
           r.cpu.suspend(p2);
           r.cpu.resume(p1);
         });
-      });
-      break;
+      };
     case Path::kForceExit:
-      at(r, timing, [&r, &p1, &p2] {
+      return [&r, &p1, &p2] {
         r.cpu.force_exit(p1);
         r.note("aborted 1 cpu " + std::to_string(p1.cpu_time().ns()));
         r.cpu.make_ready(p2);
-      });
-      break;
+      };
     case Path::kAbortAccounting:
       // PartitionScheduler::abort_job's order: settle, read the CPU time
       // into the job record, then tear down.
-      at(r, timing, [&r, &p1] {
+      return [&r, &p1] {
         r.note("expiries " + std::to_string(r.cpu.quantum_expiries()));
         r.cpu.settle();
         r.note("recorded cpu " + std::to_string(p1.cpu_time().ns()));
         r.cpu.force_exit(p1);
-      });
-      break;
+      };
   }
+  return [] {};
+}
+
+/// Process 1 computes 20 ms, first behind one daemon item, then alone;
+/// `path` interacts with it once, at `timing`.
+void scenario(Rig& r, Path path, Timing timing) {
+  Process& p1 = r.spawn(1, SimTime::milliseconds(20));
+  Process& p2 = r.spawn(2, SimTime::milliseconds(3));
+  r.cpu.make_ready(p1);
+  r.service(0, kFirstSlice);
+  at(r, timing, interaction(r, path, p1, p2));
   r.sim.run();
 }
 
@@ -214,17 +225,8 @@ std::string twin_name(
          "_" + kTimings[static_cast<int>(std::get<1>(info.param))];
 }
 
-TEST_P(SteppedChargeTwin, PlainMatchesPerQuantumReference) {
-  const auto [path, timing] = GetParam();
-  Rig plain(false);
-  Rig armed(true);
-  scenario(plain, path, timing);
-  scenario(armed, path, timing);
-
-  // The plain CPU really did skip boundaries; the armed one never does.
-  EXPECT_GT(plain.sim.steps_taken(), 0u);
-  EXPECT_EQ(armed.sim.steps_taken(), 0u);
-
+/// The plain CPU's run agrees with the armed reference's in every respect.
+void expect_same(const Rig& plain, const Rig& armed) {
   const Outcome a = outcome(plain);
   const Outcome b = outcome(armed);
   EXPECT_EQ(a.log, b.log);
@@ -240,6 +242,19 @@ TEST_P(SteppedChargeTwin, PlainMatchesPerQuantumReference) {
   EXPECT_EQ(plain.sim.now(), armed.sim.now());
 }
 
+TEST_P(SteppedChargeTwin, PlainMatchesPerQuantumReference) {
+  const auto [path, timing] = GetParam();
+  Rig plain(false);
+  Rig armed(true);
+  scenario(plain, path, timing);
+  scenario(armed, path, timing);
+
+  // The plain CPU really did skip boundaries; the armed one never does.
+  EXPECT_GT(plain.sim.steps_taken(), 0u);
+  EXPECT_EQ(armed.sim.steps_taken(), 0u);
+  expect_same(plain, armed);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EveryPathAndTiming, SteppedChargeTwin,
     ::testing::Combine(
@@ -249,6 +264,174 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(Timing::kInside, Timing::kBeforeStep,
                           Timing::kAfterStep)),
     twin_name);
+
+enum class SwitchTiming {
+  kInside,
+  kEndBeforeStep,
+  kEndAfterStep,
+  kFirstQuantum,
+};
+
+/// Runs `action` strictly inside the switch that opens the run ([0, kCtx)),
+/// at its end with a sequence number below (scheduled at t=0, before the
+/// dispatch draws the switch's) or above (scheduled mid-switch) the
+/// kernel's step there, or strictly inside the first quantum after it.
+void at_switch(Rig& r, SwitchTiming timing, std::function<void()> action) {
+  switch (timing) {
+    case SwitchTiming::kInside:
+      r.sim.schedule_at(kCtx / 2, std::move(action));
+      return;
+    case SwitchTiming::kEndBeforeStep:
+      r.sim.schedule_at(kCtx, std::move(action));
+      return;
+    case SwitchTiming::kEndAfterStep:
+      r.sim.schedule_at(kCtx / 2, [&r, action = std::move(action)]() mutable {
+        r.sim.schedule_at(kCtx, std::move(action));
+      });
+      return;
+    case SwitchTiming::kFirstQuantum:
+      r.sim.schedule_at(kCtx + kQuantum / 4, std::move(action));
+      return;
+  }
+}
+
+/// Whether process 1 has the CPU to itself when it is switched in: then
+/// its switch folds into a stepped burst; with a daemon item queued, into a
+/// one-quantum charge.
+enum class Shape { kAlone, kShared };
+
+/// Process 1 computes 20 ms from the run's first switch; `path` interacts
+/// with it once, at `timing`.
+void switch_scenario(Rig& r, Path path, SwitchTiming timing, Shape shape) {
+  Process& p1 = r.spawn(1, SimTime::milliseconds(20));
+  Process& p2 = r.spawn(2, SimTime::milliseconds(3));
+  r.cpu.make_ready(p1);
+  if (shape == Shape::kShared) r.service(0, kFirstSlice);
+  at_switch(r, timing, interaction(r, path, p1, p2));
+  r.sim.run();
+}
+
+class FoldedSwitchTwin
+    : public ::testing::TestWithParam<std::tuple<Path, SwitchTiming, Shape>> {
+};
+
+std::string folded_name(
+    const ::testing::TestParamInfo<std::tuple<Path, SwitchTiming, Shape>>&
+        info) {
+  static constexpr const char* kPaths[] = {
+      "MakeReady", "PostService", "CrashRestore",   "PostHigh",
+      "Gang",      "ForceExit",   "AbortAccounting"};
+  static constexpr const char* kTimings[] = {"Inside", "EndBeforeStep",
+                                             "EndAfterStep", "FirstQuantum"};
+  static constexpr const char* kShapes[] = {"Alone", "Shared"};
+  return std::string(kPaths[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kTimings[static_cast<int>(std::get<1>(info.param))] + "_" +
+         kShapes[static_cast<int>(std::get<2>(info.param))];
+}
+
+TEST_P(FoldedSwitchTwin, PlainMatchesPerSwitchReference) {
+  const auto [path, timing, shape] = GetParam();
+  Rig plain(false);
+  Rig armed(true);
+  switch_scenario(plain, path, timing, shape);
+  switch_scenario(armed, path, timing, shape);
+
+  // The plain CPU steps silently unless an abort before the switch's step
+  // leaves it nothing to run; the armed one never does.
+  const bool aborted_in_switch = path == Path::kAbortAccounting &&
+                                 (timing == SwitchTiming::kInside ||
+                                  timing == SwitchTiming::kEndBeforeStep);
+  EXPECT_EQ(plain.sim.steps_taken() > 0, !aborted_in_switch);
+  EXPECT_EQ(armed.sim.steps_taken(), 0u);
+  expect_same(plain, armed);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPathAndTiming, FoldedSwitchTwin,
+    ::testing::Combine(
+        ::testing::Values(Path::kMakeReady, Path::kPostService,
+                          Path::kCrashRestore, Path::kPostHigh, Path::kGang,
+                          Path::kForceExit, Path::kAbortAccounting),
+        ::testing::Values(SwitchTiming::kInside, SwitchTiming::kEndBeforeStep,
+                          SwitchTiming::kEndAfterStep,
+                          SwitchTiming::kFirstQuantum),
+        ::testing::Values(Shape::kAlone, Shape::kShared)),
+    folded_name);
+
+/// Ops whose switch keeps its own event: they are no pure CPU charge at
+/// the switch's end.
+enum class Unfolded {
+  kZeroCostControl,
+  kSend,
+  kReceiveWaiting,
+  kReceiveDuringSwitch,
+};
+
+/// Process 1 is switched in to run one op of that kind, then exits.
+void unfolded_scenario(Rig& r, Unfolded op) {
+  r.cpu.set_send_dispatcher(
+      [&r](Process& p, const SendOp& send, mem::Block /*buffer*/) {
+        r.note("sent " + std::to_string(send.bytes) + " from " +
+               std::to_string(p.id()));
+      });
+  Program prog;
+  switch (op) {
+    case Unfolded::kZeroCostControl:
+      prog.control(SimTime::zero(), [&r](Process&) { r.note("control"); })
+          .compute(SimTime::milliseconds(1));
+      break;
+    case Unfolded::kSend:
+      prog.send(2, 7, 1000);
+      break;
+    case Unfolded::kReceiveWaiting:
+    case Unfolded::kReceiveDuringSwitch:
+      prog.receive(7);
+      break;
+  }
+  prog.exit();
+  Process& p1 = r.adopt(1, std::move(prog));
+  auto deposit = [&r, &p1] {
+    net::Message msg;
+    msg.tag = 7;
+    msg.bytes = 1000;
+    r.cpu.deliver(p1, msg, *r.mmu.try_alloc(msg.bytes));
+  };
+  if (op == Unfolded::kReceiveWaiting) deposit();
+  r.cpu.make_ready(p1);
+  if (op == Unfolded::kReceiveDuringSwitch) {
+    r.sim.schedule_at(kCtx / 2, deposit);
+  }
+  r.sim.run();
+}
+
+class UnfoldedSwitchTwin : public ::testing::TestWithParam<Unfolded> {};
+
+TEST_P(UnfoldedSwitchTwin, SwitchKeepsItsOwnEvent) {
+  Rig plain(false);
+  Rig armed(true);
+  unfolded_scenario(plain, GetParam());
+  unfolded_scenario(armed, GetParam());
+
+  EXPECT_EQ(plain.cpu.context_switches(), 1u);
+  EXPECT_EQ(plain.sim.steps_taken(), 0u);
+  ASSERT_FALSE(plain.log.empty());
+  EXPECT_EQ(plain.log.back().substr(plain.log.back().find(' ')), " exit 1");
+  expect_same(plain, armed);
+}
+
+std::string unfolded_name(const ::testing::TestParamInfo<Unfolded>& info) {
+  static constexpr const char* kNames[] = {"ZeroCostControl", "Send",
+                                           "ReceiveWaiting",
+                                           "ReceiveDuringSwitch"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ZeroCostControlSendAndReceive, UnfoldedSwitchTwin,
+    ::testing::Values(Unfolded::kZeroCostControl, Unfolded::kSend,
+                      Unfolded::kReceiveWaiting,
+                      Unfolded::kReceiveDuringSwitch),
+    unfolded_name);
 
 TEST(SteppedCharge, BoundariesLandWhereTheScenariosExpect) {
   // The reference CPU's quantum-expiry instants pin the timing constants
@@ -276,10 +459,17 @@ TEST(SteppedCharge, AloneBurstFiresOnceAndCountsEveryBoundary) {
   Process& p1 = plain.spawn(1, SimTime::milliseconds(20));
   plain.cpu.make_ready(p1);
   plain.sim.run();
-  // Ten quanta: nine silent boundaries, and the last one ends the op.
-  EXPECT_EQ(plain.sim.steps_taken(), 9u);
+  // A switch, then ten quanta: the switch's end and nine boundaries are
+  // silent steps, and the last quantum ends the op.
+  EXPECT_EQ(plain.sim.steps_taken(), 10u);
   EXPECT_EQ(plain.cpu.quantum_expiries(), 9u);
   EXPECT_EQ(p1.cpu_time(), SimTime::milliseconds(20));
+  // Fired events plus steps are the per-quantum reference's events.
+  Rig armed(true);
+  armed.cpu.make_ready(armed.spawn(1, SimTime::milliseconds(20)));
+  armed.sim.run();
+  EXPECT_EQ(plain.sim.fired_events() + plain.sim.steps_taken(),
+            armed.sim.fired_events());
 }
 
 TEST(SteppedCharge, ExpiriesCountUnsettledStepsMidBurst) {

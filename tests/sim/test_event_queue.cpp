@@ -216,6 +216,56 @@ TEST(EventQueue, ManyEventsHeapOrder) {
   EXPECT_EQ(fired.size(), 2000u);
 }
 
+/// Counts the copies and moves made of it. The user-declared move
+/// constructor also makes it non-trivially-copyable, so UniqueFunction
+/// relocates it with that constructor, never with a memcpy.
+struct MoveCounter {
+  MoveCounter(int* copied, int* moved) : copies(copied), moves(moved) {}
+  MoveCounter(const MoveCounter& other) noexcept
+      : copies(other.copies), moves(other.moves) {
+    ++*copies;
+  }
+  MoveCounter(MoveCounter&& other) noexcept
+      : copies(other.copies), moves(other.moves) {
+    ++*moves;
+  }
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+  void operator()() const {}
+
+  int* copies;
+  int* moves;
+};
+
+TEST(EventQueue, CallbackIsBuiltInItsSlotAndMovedOncePerPop) {
+  EventQueue q;
+  int copies = 0;
+  int moves = 0;
+  const MoveCounter counter(&copies, &moves);
+  // From an lvalue, the one construction is a copy made in the slot.
+  q.schedule(SimTime::seconds(1), counter);
+  q.schedule_stepped(SimTime::seconds(2), SimTime::seconds(1),
+                     SimTime::seconds(4), counter);
+  EXPECT_EQ(copies, 2);
+  EXPECT_EQ(moves, 0);
+  EventQueue::Fired out;
+  ASSERT_TRUE(q.pop_if_at_most(SimTime::seconds(1), out));
+  EXPECT_EQ(moves, 1);
+  out.callback();
+  // Two silent steps move nothing; the firing moves the callback once.
+  ASSERT_TRUE(q.pop_if_at_most(SimTime::seconds(4), out));
+  EXPECT_EQ(q.steps_taken(), 2u);
+  EXPECT_EQ(moves, 2);
+  EXPECT_EQ(copies, 2);
+  // From an rvalue, the construction in the slot is the one move.
+  q.schedule(SimTime::seconds(5), MoveCounter(&copies, &moves));
+  EXPECT_EQ(moves, 3);
+  EXPECT_EQ(q.pop().time, SimTime::seconds(5));
+  EXPECT_EQ(moves, 4);
+  EXPECT_EQ(copies, 2);
+}
+
 TEST(EventQueue, MoveOnlyCallbacksSupported) {
   EventQueue q;
   auto payload = std::make_unique<int>(42);

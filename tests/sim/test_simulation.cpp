@@ -35,6 +35,42 @@ TEST(Simulation, ScheduleIsRelativeToNow) {
   EXPECT_EQ(inner, SimTime::seconds(2));
 }
 
+TEST(Simulation, ScheduleCallsForwardTheCallableToItsSlot) {
+  // Counts copies and moves; a user-declared move constructor keeps
+  // UniqueFunction from relocating it with a memcpy.
+  struct Counter {
+    Counter(int* copied, int* moved) : copies(copied), moves(moved) {}
+    Counter(const Counter& other) noexcept
+        : copies(other.copies), moves(other.moves) {
+      ++*copies;
+    }
+    Counter(Counter&& other) noexcept
+        : copies(other.copies), moves(other.moves) {
+      ++*moves;
+    }
+    Counter& operator=(const Counter&) = delete;
+    Counter& operator=(Counter&&) = delete;
+    ~Counter() = default;
+    void operator()() const {}
+    int* copies;
+    int* moves;
+  };
+  Simulation sim;
+  int copies = 0;
+  int moves = 0;
+  const Counter counter(&copies, &moves);
+  sim.schedule(SimTime::seconds(1), counter);
+  sim.schedule_at(SimTime::seconds(2), counter);
+  sim.schedule_stepped(SimTime::seconds(1), SimTime::seconds(1),
+                       SimTime::seconds(3), counter);
+  EXPECT_EQ(copies, 3);
+  EXPECT_EQ(moves, 0);
+  sim.run_until(SimTime::seconds(3));
+  EXPECT_EQ(sim.fired_events(), 3u);
+  EXPECT_EQ(moves, 3);  // one per pop
+  EXPECT_EQ(copies, 3);
+}
+
 TEST(Simulation, ScheduleAtAbsoluteTime) {
   Simulation sim;
   SimTime fired;
