@@ -6,14 +6,6 @@
 #include <utility>
 
 namespace tmc::net {
-namespace {
-
-sim::SimTime transfer_time(const NetworkParams& p, std::size_t payload_bytes) {
-  return p.per_hop_latency +
-         p.per_byte * static_cast<std::int64_t>(payload_bytes + p.header_bytes);
-}
-
-}  // namespace
 
 Network::Network(sim::Simulation& sim, const Topology& topo,
                  std::vector<mem::Mmu*> mmus, NetworkParams params)
@@ -36,139 +28,135 @@ double Network::max_link_utilization(sim::SimTime now) const {
 }
 
 void StoreForwardNetwork::send(Message msg, mem::Block payload) {
-  assert((payload.valid() || msg.unstaged) &&
-         "only an unstaged message may come without a source buffer");
-  if (drop_at_injection(msg)) return;
-  ++messages_;
-  payload_bytes_ += msg.bytes;
+  if (!admit(msg, payload)) return;
   const std::size_t pkt = params_.packet_bytes;
-  if (msg.src_node == msg.dst_node || pkt == 0 || msg.bytes <= pkt) {
-    forward(msg, msg.src_node, std::move(payload), msg.bytes, nullptr);
-    return;
+  const bool whole =
+      msg.src_node == msg.dst_node || pkt == 0 || msg.bytes <= pkt;
+  sim::SlotHandle reassembly;
+  if (!whole) {
+    // Fragment: packets pipeline across hops independently and reassemble
+    // at the destination. The source's whole-message buffer stays pinned
+    // until the last packet has left the source node.
+    const int packets = static_cast<int>((msg.bytes + pkt - 1) / pkt);
+    reassembly = reassemblies_.acquire();
+    Reassembly& r = reassemblies_[reassembly.index];
+    // Field by field: the fragment vector keeps its capacity across reuse.
+    r.msg = msg;
+    r.source = std::move(payload);
+    r.unsent = r.packets_remaining = packets;
+    r.alloc_requested = false;
   }
-  // Fragment: packets pipeline across hops independently and reassemble at
-  // the destination. The source's whole-message buffer stays pinned until
-  // the last packet has left the source node.
-  const int packets =
-      static_cast<int>((msg.bytes + pkt - 1) / pkt);
-  Reassembly& reassembly = reassembly_[msg.id];
-  reassembly.msg = msg;
-  reassembly.packets_remaining = packets;
-  auto hold = std::make_shared<mem::Block>(std::move(payload));
   std::size_t remaining = msg.bytes;
-  for (int i = 0; i < packets; ++i) {
-    const std::size_t fragment = std::min(pkt, remaining);
-    remaining -= fragment;
-    forward(msg, msg.src_node, mem::Block{}, fragment, hold);
-  }
+  do {
+    const std::size_t bytes = whole ? remaining : std::min(pkt, remaining);
+    remaining -= bytes;
+    const sim::SlotHandle unit = units_.acquire();
+    // A packet holds no buffer at the source: `payload` was moved above.
+    units_[unit.index] =
+        Unit{msg, std::move(payload), {}, bytes, msg.src_node, {}, reassembly};
+    forward(unit);
+  } while (remaining > 0);
 }
 
 void StoreForwardNetwork::kick() {
-  std::vector<Parked> retry;
-  retry.swap(parked_);
-  for (auto& p : retry) {
-    forward(p.msg, p.at, std::move(p.held), p.fragment_bytes,
-            std::move(p.source_hold));
-  }
+  drain_parked(parked_, kick_scratch_,
+               [this](sim::SlotHandle unit) { forward(unit); });
 }
 
-void StoreForwardNetwork::forward(Message msg, NodeId at, mem::Block held,
-                                  std::size_t fragment_bytes,
-                                  std::shared_ptr<mem::Block> source_hold) {
-  if (at == msg.dst_node) {
+void StoreForwardNetwork::forward(sim::SlotHandle unit) {
+  assert(units_.live(unit));
+  Unit& u = units_[unit.index];
+  if (u.at == u.msg.dst_node) {
     assert(deliver_ && "no delivery handler installed");
-    if (fragment_bytes == msg.bytes) {
-      ++delivered_;
-      deliver_(msg, std::move(held));
+    // The slot is free before delivery or reassembly, so a send from the
+    // delivery handler can reuse it.
+    Unit arrived = std::move(u);
+    units_.retire(unit.index);
+    if (arrived.bytes != arrived.msg.bytes) {
+      arrive_fragment(arrived.reassembly, std::move(arrived.held));
     } else {
-      arrive_fragment(msg, std::move(held));
+      ++delivered_;
+      deliver_(arrived.msg, std::move(arrived.held));
     }
     return;
   }
-  if (!may_progress(msg)) {
-    // The owning job is descheduled: its daemons are not running, so the
-    // message waits here, pinning its buffer at this node, until kick().
-    record_park(sim_.now(), msg);
-    parked_.push_back(Parked{msg, at, std::move(held), fragment_bytes,
-                             std::move(source_hold)});
+  // The owning job is descheduled (its daemons are not running), or the
+  // next link or the router behind it is down: the unit waits here,
+  // pinning its buffer at this node, until kick(). One adjacency scan
+  // yields both the next node and the directed link.
+  u.hop = routing_.next_hop_link(u.at, u.msg.dst_node);
+  if (!may_progress(u.msg) ||
+      (fault_ != nullptr && !fault_->link_usable(u.hop.link))) {
+    record_park(sim_.now(), u.msg);
+    parked_.push_back(unit);
     return;
   }
-  // One adjacency scan yields both the next node and the directed link.
-  const Topology::Neighbor hop = routing_.next_hop_link(at, msg.dst_node);
-  const NodeId next = hop.node;
-  if (fault_ != nullptr && !fault_->link_usable(hop.link)) {
-    // The next link (or the router behind it) is down: stall here holding
-    // this node's buffer until a repair kicks the parked set.
-    record_park(sim_.now(), msg);
-    parked_.push_back(Parked{msg, at, std::move(held), fragment_bytes,
-                             std::move(source_hold)});
-    return;
-  }
-
   // Store-and-forward: the whole unit must be buffered at the next node
   // before it can leave this one. Under memory pressure this request blocks
-  // in `next`'s MMU queue -- the delay the paper attributes to intermediate
-  // processors delaying mailbox allocation.
-  mmus_[static_cast<std::size_t>(next)]->request(
-      fragment_bytes + params_.header_bytes,
-      [this, msg, next, fragment_bytes, link_id = hop.link,
-       held = std::move(held),
-       source_hold = std::move(source_hold)](mem::Block next_buf) mutable {
-        Link& link = links_[static_cast<std::size_t>(link_id)];
-        const sim::SimTime xfer = transfer_time(params_, fragment_bytes);
-        const sim::SimTime done = link.reserve(
-            sim_.now(), xfer, fragment_bytes + params_.header_bytes);
-        record_transfer(link_id, done - xfer, xfer, msg);
-        sim_.schedule_at(
-            done, [this, msg, next, fragment_bytes, held = std::move(held),
-                   source_hold = std::move(source_hold),
-                   next_buf = std::move(next_buf)]() mutable {
-              ++hops_;
-              held.release();      // the copy has left this node
-              source_hold.reset();  // last packet out frees the source
-              if (hop_hook_) hop_hook_(next, msg, fragment_bytes);
-              forward(msg, next, std::move(next_buf), fragment_bytes,
-                      nullptr);
-            });
+  // in the next node's MMU queue -- the delay the paper attributes to
+  // intermediate processors delaying mailbox allocation.
+  mmus_[static_cast<std::size_t>(u.hop.node)]->request(
+      u.bytes + params_.header_bytes, [this, unit](mem::Block next_buf) {
+        Unit& granted = units_[unit.index];
+        granted.next_buf = std::move(next_buf);
+        const std::size_t wire = granted.bytes + params_.header_bytes;
+        const sim::SimTime xfer =
+            params_.per_hop_latency +
+            params_.per_byte * static_cast<std::int64_t>(wire);
+        const sim::SimTime done =
+            links_[static_cast<std::size_t>(granted.hop.link)].reserve(
+                sim_.now(), xfer, wire);
+        record_transfer(granted.hop.link, done - xfer, xfer, granted.msg);
+        sim_.schedule_at(done, [this, unit] {
+          // Releases may pump MMUs, so this order is part of the result:
+          // held (the move-assign frees it), source pin, hook, forward.
+          ++hops_;
+          Unit& crossed = units_[unit.index];
+          crossed.held = std::move(crossed.next_buf);
+          if (crossed.bytes != crossed.msg.bytes &&
+              crossed.at == crossed.msg.src_node) {
+            Reassembly& r = reassemblies_[crossed.reassembly.index];
+            if (--r.unsent == 0) r.source.release();  // last packet out
+          }
+          crossed.at = crossed.hop.node;
+          const Message msg = crossed.msg;  // the hook may regrow the pool
+          if (hop_hook_) hop_hook_(crossed.at, msg, crossed.bytes);
+          forward(unit);
+        });
       });
 }
 
-void StoreForwardNetwork::arrive_fragment(const Message& msg,
+void StoreForwardNetwork::arrive_fragment(sim::SlotHandle reassembly,
                                           mem::Block held) {
-  const auto it = reassembly_.find(msg.id);
-  assert(it != reassembly_.end());
-  Reassembly& reassembly = it->second;
-  if (!reassembly.alloc_requested) {
-    reassembly.alloc_requested = true;
-    mmus_[static_cast<std::size_t>(msg.dst_node)]->request(
-        msg.bytes + params_.header_bytes,
-        [this, id = msg.id](mem::Block big) {
-          const auto entry = reassembly_.find(id);
-          if (entry == reassembly_.end()) return;  // torn down
-          entry->second.buffer = std::move(big);
-          entry->second.fragments.clear();  // packets copied in, freed
-          try_finish_reassembly(id);
+  assert(reassemblies_.live(reassembly));
+  Reassembly& r = reassemblies_[reassembly.index];
+  if (!r.alloc_requested) {
+    r.alloc_requested = true;
+    mmus_[static_cast<std::size_t>(r.msg.dst_node)]->request(
+        r.msg.bytes + params_.header_bytes,
+        [this, reassembly](mem::Block big) {
+          Reassembly& entry = reassemblies_[reassembly.index];
+          entry.buffer = std::move(big);
+          entry.fragments.clear();  // packets copied in, freed
+          try_finish_reassembly(reassembly);
         });
   }
-  if (reassembly.buffer.has_value()) {
+  if (r.buffer.valid()) {
     held.release();  // copied straight into the message buffer
   } else {
-    reassembly.fragments.push_back(std::move(held));
+    r.fragments.push_back(std::move(held));
   }
-  --reassembly.packets_remaining;
-  try_finish_reassembly(msg.id);
+  --r.packets_remaining;
+  try_finish_reassembly(reassembly);
 }
 
-void StoreForwardNetwork::try_finish_reassembly(std::uint64_t id) {
-  const auto it = reassembly_.find(id);
-  if (it == reassembly_.end()) return;
-  Reassembly& reassembly = it->second;
-  if (reassembly.packets_remaining > 0 || !reassembly.buffer.has_value()) {
-    return;
-  }
-  const Message msg = reassembly.msg;
-  mem::Block buffer = std::move(*reassembly.buffer);
-  reassembly_.erase(it);
+void StoreForwardNetwork::try_finish_reassembly(sim::SlotHandle reassembly) {
+  Reassembly& r = reassemblies_[reassembly.index];
+  if (r.packets_remaining > 0 || !r.buffer.valid()) return;
+  assert(!r.source.valid() && r.fragments.empty());
+  const Message msg = r.msg;
+  mem::Block buffer = std::move(r.buffer);
+  reassemblies_.retire(reassembly.index);
   ++delivered_;
   deliver_(msg, std::move(buffer));
 }
@@ -177,6 +165,10 @@ WormholeNetwork::WormholeNetwork(sim::Simulation& sim, const Topology& topo,
                                  std::vector<mem::Mmu*> mmus,
                                  NetworkParams params)
     : Network(sim, topo, std::move(mmus), params) {
+  if (params.packet_bytes != 0) {
+    throw std::invalid_argument(
+        "wormhole switching carries whole messages: packet size must be 0");
+  }
   // Per-topology reservation: the in-flight population is bounded by
   // concurrent sends, which scale with node count; four slots per node
   // covers the paper's workloads without regrowth.
@@ -185,28 +177,14 @@ WormholeNetwork::WormholeNetwork(sim::Simulation& sim, const Topology& topo,
 }
 
 void WormholeNetwork::send(Message msg, mem::Block payload) {
-  assert((payload.valid() || msg.unstaged) &&
-         "only an unstaged message may come without a source buffer");
-  if (drop_at_injection(msg)) return;
-  ++messages_;
-  payload_bytes_ += msg.bytes;
+  if (!admit(msg, payload)) return;
   launch(msg, std::move(payload));
 }
 
 void WormholeNetwork::kick() {
-  kick_scratch_.clear();
-  kick_scratch_.swap(parked_);
-  for (auto& p : kick_scratch_) {
+  drain_parked(parked_, kick_scratch_, [this](Pending& p) {
     launch(p.msg, std::move(p.payload));
-  }
-  kick_scratch_.clear();
-  // Hand the warmed buffer back: launch() may have re-parked messages into
-  // parked_ (then both vectors earn their capacity), but in the common
-  // everything-resumes case parked_ is empty and would otherwise be left
-  // holding the cold buffer, allocating again on the next suspension.
-  if (parked_.empty() && parked_.capacity() < kick_scratch_.capacity()) {
-    parked_.swap(kick_scratch_);
-  }
+  });
 }
 
 void WormholeNetwork::launch(Message msg, mem::Block payload) {

@@ -16,11 +16,9 @@
 //    allocated only at the destination.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mmu.h"
@@ -120,7 +118,6 @@ class Network {
 
   /// Optional fault plane (null = reliable hardware; must outlive us).
   void set_fault_plane(FaultPlane* plane) { fault_ = plane; }
-  [[nodiscard]] FaultPlane* fault_plane() const { return fault_; }
   void set_loss_hook(LossHook hook) { loss_ = std::move(hook); }
 
   /// Re-attempts every parked message (called when a job's turn begins).
@@ -156,8 +153,8 @@ class Network {
   [[nodiscard]] std::uint64_t bytes_sent() const { return payload_bytes_; }
   [[nodiscard]] std::uint64_t total_hops() const { return hops_; }
   [[nodiscard]] std::uint64_t in_flight() const { return messages_ - delivered_; }
-  /// Messages currently parked (gate closed or a path link down); the
-  /// watchdog diagnostic reads this to name a stalled transport.
+  /// Units parked by a closed gate or a downed link (store-and-forward
+  /// counts packets); the watchdog diagnostic reads this to name a stall.
   [[nodiscard]] virtual std::size_t parked_messages() const { return 0; }
 
  protected:
@@ -166,13 +163,32 @@ class Network {
   Network(sim::Simulation& sim, const Topology& topo,
           std::vector<mem::Mmu*> mmus, NetworkParams params);
 
-  /// Drops `msg` at injection time if the fault plane says so, reporting
-  /// the loss to the comm layer. The payload is released by the caller
-  /// returning (RAII).
-  [[nodiscard]] bool drop_at_injection(const Message& msg) {
-    if (fault_ == nullptr || !fault_->should_drop(msg)) return false;
-    if (loss_) loss_(msg);
+  /// Counts `msg` in, or drops it at injection if the fault plane says so,
+  /// reporting the loss to the comm layer (the caller returning releases
+  /// the payload). False when dropped.
+  [[nodiscard]] bool admit(const Message& msg,
+                           [[maybe_unused]] const mem::Block& payload) {
+    assert((payload.valid() || msg.unstaged) &&
+           "only an unstaged message may come without a source buffer");
+    if (fault_ != nullptr && fault_->should_drop(msg)) {
+      if (loss_) loss_(msg);
+      return false;
+    }
+    ++messages_;
+    payload_bytes_ += msg.bytes;
     return true;
+  }
+  /// Re-attempts every parked entry through `retry`, draining the list via
+  /// `scratch` and handing the warmed buffer back, so kicks stay alloc-free.
+  template <typename T, typename Retry>
+  static void drain_parked(std::vector<T>& parked, std::vector<T>& scratch,
+                           Retry&& retry) {
+    scratch.swap(parked);  // scratch is empty between calls
+    for (T& entry : scratch) retry(entry);
+    scratch.clear();
+    if (parked.empty() && parked.capacity() < scratch.capacity()) {
+      parked.swap(scratch);
+    }
   }
   /// Span for one link occupancy [start, start+dur); no-op with no timeline.
   void record_transfer(LinkId link, sim::SimTime start, sim::SimTime dur,
@@ -213,6 +229,10 @@ class Network {
 };
 
 /// Store-and-forward engine (the Transputer's switching mode).
+///
+/// Each transfer unit (a whole message or one packet) holds one pool slot
+/// from send() until just before its delivery or reassembly; its callbacks
+/// capture only {this, handle}, so a warm network forwards allocation-free.
 class StoreForwardNetwork final : public Network {
  public:
   StoreForwardNetwork(sim::Simulation& sim, const Topology& topo,
@@ -227,34 +247,36 @@ class StoreForwardNetwork final : public Network {
   }
 
  private:
-  struct Parked {
+  /// One whole message or packet, fully buffered at `at`.
+  struct Unit {
     Message msg;
-    NodeId at;
-    mem::Block held;
-    std::size_t fragment_bytes;  // == msg.bytes for unfragmented messages
-    /// Keeps the source's whole-message buffer alive until every packet
-    /// has left the source node.
-    std::shared_ptr<mem::Block> source_hold;
+    mem::Block held;      // buffer at `at`; none for a packet at the source
+    mem::Block next_buf;  // granted at the next hop, carried across
+    std::size_t bytes = 0;  // payload; below msg.bytes only for a packet
+    NodeId at = kInvalidNode;
+    Topology::Neighbor hop{};  // the next node and the link to it
+    sim::SlotHandle reassembly;  // the packet's message; unused when whole
   };
-  /// Destination-side reassembly of a fragmented message.
+  /// Both ends of a fragmented message.
   struct Reassembly {
     Message msg;
-    int packets_remaining = 0;
+    mem::Block source;  // whole-message buffer, pinned until `unsent` is 0
+    int unsent = 0;     // packets that have not finished their first hop
+    int packets_remaining = 0;  // packets not yet at the destination
     bool alloc_requested = false;
-    std::optional<mem::Block> buffer;   // full-message buffer (async alloc)
+    mem::Block buffer;                  // full-message buffer (async alloc)
     std::vector<mem::Block> fragments;  // packet buffers pending the alloc
   };
 
-  /// One unit (whole message or packet) is fully buffered at `at`; forward
-  /// it one more hop (or hand it to delivery/reassembly).
-  void forward(Message msg, NodeId at, mem::Block held,
-               std::size_t fragment_bytes,
-               std::shared_ptr<mem::Block> source_hold);
-  void arrive_fragment(const Message& msg, mem::Block held);
-  void try_finish_reassembly(std::uint64_t id);
+  /// Moves a unit buffered at its node one hop on, or delivers it.
+  void forward(sim::SlotHandle unit);
+  void arrive_fragment(sim::SlotHandle reassembly, mem::Block held);
+  void try_finish_reassembly(sim::SlotHandle reassembly);
 
-  std::vector<Parked> parked_;
-  std::unordered_map<std::uint64_t, Reassembly> reassembly_;
+  sim::SlotPool<Unit> units_;
+  sim::SlotPool<Reassembly> reassemblies_;
+  std::vector<sim::SlotHandle> parked_;
+  std::vector<sim::SlotHandle> kick_scratch_;  // see drain_parked()
 };
 
 /// Wormhole-routed engine (paper's suggested improvement; bench A2).
@@ -270,6 +292,8 @@ class StoreForwardNetwork final : public Network {
 /// allocations once warm.
 class WormholeNetwork final : public Network {
  public:
+  /// Throws std::invalid_argument unless `packet_bytes` is 0 (worms are
+  /// whole messages).
   WormholeNetwork(sim::Simulation& sim, const Topology& topo,
                   std::vector<mem::Mmu*> mmus, NetworkParams params = {});
 
@@ -317,9 +341,7 @@ class WormholeNetwork final : public Network {
   std::vector<LinkId> path_scratch_;
   sim::SlotPool<Worm> worms_;
   std::vector<Pending> parked_;
-  /// kick() drains parked_ through this scratch so the per-gang-turn retry
-  /// reuses capacity instead of allocating a fresh vector.
-  std::vector<Pending> kick_scratch_;
+  std::vector<Pending> kick_scratch_;  // see drain_parked()
 };
 
 }  // namespace tmc::net

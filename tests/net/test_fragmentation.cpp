@@ -163,5 +163,61 @@ TEST_F(FragmentationTest, ProgressGateParksIndividualPackets) {
   EXPECT_EQ(delivered_bytes[0], 4016u);
 }
 
+TEST_F(FragmentationTest, SourceBufferFreedWhenLastPacketLeavesTheSource) {
+  // 4000 B in 1000-B packets over one link: the k-th packet finishes its
+  // first hop at k x (10 + 1016) us. The source keeps the whole message
+  // buffer until the fourth, and frees it before that hop's hook runs.
+  auto net = make_network(1000);
+  std::vector<std::size_t> source_used;
+  std::vector<SimTime> first_hops;
+  net->set_hop_hook([&](NodeId node, const Message&, std::size_t) {
+    if (node != 1) return;
+    first_hops.push_back(sim.now());
+    source_used.push_back(mmus[0]->bytes_used());
+  });
+  net->send(make_msg(0, 3, 4000), buffer_at(0, 4000));
+  EXPECT_EQ(mmus[0]->bytes_used(), 4000u);
+  sim.run();
+  ASSERT_EQ(first_hops.size(), 4u);
+  for (std::size_t k = 0; k < 4; ++k) {
+    EXPECT_EQ(first_hops[k],
+              SimTime::microseconds(1026 * static_cast<std::int64_t>(k + 1)));
+  }
+  EXPECT_EQ(source_used, (std::vector<std::size_t>{4000, 4000, 4000, 0}));
+  ASSERT_EQ(delivered_bytes.size(), 1u);
+}
+
+TEST_F(FragmentationTest, ParkedPacketsKeepTheSourcePinned) {
+  auto net = make_network(1000);
+  bool frozen = true;
+  net->set_progress_gate([&frozen](const Message&) { return !frozen; });
+  net->send(make_msg(0, 3, 2500), buffer_at(0, 2500));
+  sim.run();
+  EXPECT_EQ(net->parked_messages(), 3u);  // units, not messages
+  EXPECT_EQ(mmus[0]->bytes_used(), 2500u);
+  frozen = false;
+  net->kick();
+  sim.run();
+  EXPECT_EQ(mmus[0]->bytes_used(), 0u);
+  ASSERT_EQ(delivered_bytes.size(), 1u);
+}
+
+TEST_F(FragmentationTest, UnstagedPacketizedSendPinsNothing) {
+  auto net = make_network(1000);
+  std::vector<std::size_t> source_used;
+  net->set_hop_hook([&](NodeId, const Message&, std::size_t) {
+    source_used.push_back(mmus[0]->bytes_used());
+  });
+  Message msg = make_msg(0, 3, 4000);
+  msg.unstaged = true;
+  net->send(msg, mem::Block{});
+  sim.run();
+  ASSERT_EQ(delivered_bytes.size(), 1u);
+  EXPECT_EQ(delivered_bytes[0], 4016u);
+  EXPECT_EQ(source_used.size(), 12u);  // four packets, three hops each
+  for (const std::size_t used : source_used) EXPECT_EQ(used, 0u);
+  EXPECT_EQ(mmus[0]->high_watermark(), 0u);
+}
+
 }  // namespace
 }  // namespace tmc::net

@@ -217,5 +217,14 @@ TEST_F(NetworkTest, MismatchedMmuCountThrows) {
                std::invalid_argument);
 }
 
+TEST_F(NetworkTest, WormholeRejectsPackets) {
+  // A worm always carries the whole message; a packet size would be
+  // silently ignored.
+  params.packet_bytes = 1024;
+  EXPECT_THROW(WormholeNetwork(sim, topo, mmu_ptrs, params),
+               std::invalid_argument);
+  EXPECT_NO_THROW(StoreForwardNetwork(sim, topo, mmu_ptrs, params));
+}
+
 }  // namespace
 }  // namespace tmc::net

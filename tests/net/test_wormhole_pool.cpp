@@ -1,15 +1,16 @@
-// Worm-slot pool tests, built as their own binary with a counting global
-// allocator.
+// Transfer-unit pool tests for both transport engines, built as their own
+// binary with a counting global allocator.
 //
-// The pooled wormhole engine's headline guarantee is *zero heap allocations
-// on the flit-advance path*: once the pool and the kernel's slot pool are
-// warm, launching, transmitting and completing a message never touch the
-// allocator. A claim like that cannot be tested by inspection -- this binary
-// replaces global operator new/delete with counting versions and asserts the
-// count stays flat across whole simulated transfers. The remaining tests pin
-// the pool mechanics the guarantee rests on: pre-reservation, exhaustion
-// regrowth, O(1) tail-flit release, slot reuse, and the no-slot cases
-// (parked and self-send messages).
+// Both engines promise *zero heap allocations per hop* once warm: the
+// wormhole engine keeps each in-flight message in a worm slot, and the
+// store-and-forward engine keeps each transfer unit (whole message or
+// packet) in a unit slot, so every callback captures only {this, handle}.
+// A claim like that cannot be tested by inspection -- this binary replaces
+// global operator new/delete with counting versions and asserts the count
+// stays flat across whole simulated transfers. The remaining wormhole tests
+// pin the pool mechanics the guarantee rests on: pre-reservation,
+// exhaustion regrowth, O(1) tail-flit release, slot reuse, and the no-slot
+// cases (parked and self-send messages).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -261,6 +262,130 @@ TEST_F(WormholePoolMeshTest, ZeroAllocAcrossTopologies) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(net_->worms_in_flight(), 0u);
+}
+
+/// Store-and-forward on an 8-node line: every unit is buffered at each node
+/// it crosses, so a hop costs an MMU grant, a link reservation and a
+/// link-done event.
+class StoreForwardPoolTest : public ::testing::Test {
+ protected:
+  StoreForwardPoolTest() : topo_(Topology::linear(8)) {
+    for (int i = 0; i < topo_.node_count(); ++i) {
+      mmus_.push_back(std::make_unique<mem::Mmu>(sim_, std::size_t{4} << 20));
+      mmu_ptrs_.push_back(mmus_.back().get());
+    }
+    deliveries_.reserve(4096);
+  }
+
+  void build(std::size_t packet_bytes) {
+    NetworkParams params;
+    params.packet_bytes = packet_bytes;
+    net_ = std::make_unique<StoreForwardNetwork>(sim_, topo_, mmu_ptrs_,
+                                                 params);
+    net_->set_delivery_handler([this](const Message& msg, mem::Block buffer) {
+      deliveries_.push_back(msg.id);
+      buffer.release();
+    });
+    net_->set_progress_gate(
+        [this](const Message& msg) { return msg.job != 9 || active_; });
+  }
+
+  void send(NodeId src, NodeId dst, std::size_t bytes, std::uint32_t job = 0) {
+    auto payload = mmus_[static_cast<std::size_t>(src)]->try_alloc(bytes);
+    ASSERT_TRUE(payload.has_value());
+    Message msg;
+    msg.id = next_id_++;
+    msg.src_node = src;
+    msg.dst_node = dst;
+    msg.job = job;
+    msg.bytes = bytes;
+    net_->send(msg, std::move(*payload));
+  }
+
+  /// End-to-end traffic both ways plus a three-hop shift from every node,
+  /// links contended.
+  void traffic(std::size_t bytes, std::uint32_t job = 0) {
+    for (int i = 0; i < 4; ++i) {
+      send(0, 7, bytes, job);
+      send(7, 0, bytes, job);
+    }
+    for (int i = 0; i < 8; ++i) {
+      send(static_cast<NodeId>(i), static_cast<NodeId>((i + 3) % 8), bytes,
+           job);
+    }
+  }
+
+  /// Heap allocations per hop while `fn` runs to quiescence.
+  template <typename Fn>
+  double allocs_per_hop(Fn&& fn) {
+    const std::uint64_t hops = net_->total_hops();
+    const std::uint64_t allocs = allocations_during([&] {
+      fn();
+      sim_.run();
+    });
+    const std::uint64_t crossed = net_->total_hops() - hops;
+    EXPECT_GT(crossed, 0u);
+    return static_cast<double>(allocs) / static_cast<double>(crossed);
+  }
+
+  /// Freezes job 9 twice per cycle -- once before its sends, so units park
+  /// at the source, and once mid-route, so they park at intermediate
+  /// nodes -- and kicks after each freeze.
+  void park_kick_cycle() {
+    active_ = false;
+    traffic(256, 9);
+    sim_.run();
+    EXPECT_GT(net_->parked_messages(), 0u);
+    active_ = true;
+    net_->kick();
+    traffic(200, 9);
+    sim_.schedule(SimTime::microseconds(400), [this] { active_ = false; });
+    sim_.run();
+    EXPECT_GT(net_->parked_messages(), 0u);
+    active_ = true;
+    net_->kick();
+  }
+
+  sim::Simulation sim_;
+  Topology topo_;
+  std::vector<std::unique_ptr<mem::Mmu>> mmus_;
+  std::vector<mem::Mmu*> mmu_ptrs_;
+  std::unique_ptr<StoreForwardNetwork> net_;
+  std::vector<std::uint64_t> deliveries_;
+  bool active_ = true;
+  std::uint64_t next_id_ = 1;
+};
+
+TEST_F(StoreForwardPoolTest, WholeMessageHopsAllocateNothingOnceWarm) {
+  build(0);
+  allocs_per_hop([this] { traffic(256); });  // warm-up
+  const std::size_t warm = deliveries_.size();
+  EXPECT_EQ(allocs_per_hop([this] { traffic(256); }), 0.0)
+      << "whole-message hops reached the heap";
+  EXPECT_EQ(deliveries_.size(), 2 * warm);
+}
+
+TEST_F(StoreForwardPoolTest, PacketHopsAllocateNothingOnceWarm) {
+  // 256 B is four full 64-B packets; 200 B leaves an 8-B tail packet.
+  build(64);
+  const auto both = [this] {
+    traffic(256);
+    traffic(200);
+  };
+  allocs_per_hop(both);  // warm-up
+  const std::size_t warm = deliveries_.size();
+  EXPECT_EQ(allocs_per_hop(both), 0.0) << "packet hops reached the heap";
+  EXPECT_EQ(deliveries_.size(), 2 * warm);
+}
+
+TEST_F(StoreForwardPoolTest, ParkKickCycleAllocatesNothingOnceWarm) {
+  build(64);
+  allocs_per_hop([this] { park_kick_cycle(); });  // warm-up
+  const std::size_t warm = deliveries_.size();
+  EXPECT_EQ(allocs_per_hop([this] { park_kick_cycle(); }), 0.0)
+      << "park/kick cycle reached the heap";
+  EXPECT_EQ(deliveries_.size(), 2 * warm);
+  EXPECT_EQ(net_->parked_messages(), 0u);
 }
 
 }  // namespace

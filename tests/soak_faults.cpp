@@ -5,9 +5,11 @@
 // processes mid-flight (parked worms, queued mailbox allocations, pending
 // MMU grants, half-built spans), and every repair re-forms partitions and
 // requeues jobs. This binary overrides global operator new/delete with
-// counting versions, runs the open-arrival serving loop over a WORMHOLE
-// machine (so crash teardown also exercises the worm-slot pool) with node
-// crashes, link flaps and message drops all armed, and fails unless
+// counting versions, runs the open-arrival serving loop with node crashes,
+// link flaps and message drops all armed -- once on a WORMHOLE machine
+// (crash teardown exercises the worm-slot pool) and once on a
+// STORE-AND-FORWARD machine (transfer units park on downed links and are
+// torn down mid-route) -- and fails unless, on each engine,
 //   (1) live heap allocations PLATEAU: after the first quarter of the run,
 //       the live count never exceeds the quarter-mark count by more than a
 //       fixed headroom -- flat in the number of crash/recover episodes;
@@ -80,19 +82,11 @@ struct Snapshot {
   std::int64_t live_allocs = 0;
 };
 
-int run() {
-  std::uint64_t jobs = 200'000;
-  if (const char* env = std::getenv("TMC_SOAK_JOBS")) {
-    const unsigned long long parsed = std::strtoull(env, nullptr, 10);
-    if (parsed < 100) {
-      std::fprintf(stderr, "soak_faults: TMC_SOAK_JOBS must be >= 100\n");
-      return 2;
-    }
-    jobs = parsed;
-  }
-
+/// One soak on one switching mode; returns the number of failed checks.
+int soak(bool wormhole, std::uint64_t jobs) {
+  const char* engine = wormhole ? "wormhole" : "store-forward";
   core::ServeConfig config;
-  config.machine.wormhole = true;  // crash teardown hits the worm-slot pool
+  config.machine.wormhole = wormhole;
   config.machine.policy.kind = sched::PolicyKind::kHybrid;
   config.machine.policy.partition_size = 4;
   // Aggressive fault processes: at rate 25/s a 200k-job run covers ~8000
@@ -112,6 +106,8 @@ int run() {
   config.checkpoint_every = jobs / 40;
 
   std::vector<Snapshot> snapshots;
+  const std::int64_t total_before =
+      g_total_allocs.load(std::memory_order_relaxed);
   config.checkpoint = [&snapshots](const core::ServeCheckpoint& cp) {
     snapshots.push_back(
         {cp, g_live_allocs.load(std::memory_order_relaxed)});
@@ -120,8 +116,8 @@ int run() {
   const core::ServeResult result = core::run_sustained(config);
 
   int failures = 0;
-  const auto fail = [&failures](const char* what) {
-    std::fprintf(stderr, "soak_faults: FAIL: %s\n", what);
+  const auto fail = [&failures, engine](const char* what) {
+    std::fprintf(stderr, "soak_faults: %s: FAIL: %s\n", engine, what);
     ++failures;
   };
 
@@ -145,10 +141,10 @@ int run() {
     }
   }
 
-  // Allocation plateau after the first quarter: the job arena, the worm-slot
-  // pool and the fault machinery must all recycle across episodes. The
-  // headroom absorbs churn; it must NOT absorb per-episode growth, which at
-  // thousands of crash cycles would dwarf it.
+  // Allocation plateau after the first quarter: the job arena, the engine's
+  // transfer pools and the fault machinery must all recycle across
+  // episodes. The headroom absorbs churn; it must NOT absorb per-episode
+  // growth, which at thousands of crash cycles would dwarf it.
   const std::size_t quarter = snapshots.size() / 4;
   const std::int64_t at_quarter = snapshots[quarter].live_allocs;
   const std::int64_t headroom =
@@ -158,10 +154,10 @@ int run() {
     peak_after = std::max(peak_after, snapshots[i].live_allocs);
   }
   std::fprintf(stderr,
-               "soak_faults: %llu jobs, %llu crashes / %llu repairs, "
+               "soak_faults: %s: %llu jobs, %llu crashes / %llu repairs, "
                "%llu restarts, %llu lost, live allocs %lld @25%% -> "
                "peak %lld after (headroom %lld), %lld total allocs\n",
-               static_cast<unsigned long long>(jobs),
+               engine, static_cast<unsigned long long>(jobs),
                static_cast<unsigned long long>(result.machine.faults.crashes),
                static_cast<unsigned long long>(result.machine.faults.repairs),
                static_cast<unsigned long long>(
@@ -171,18 +167,32 @@ int run() {
                static_cast<long long>(peak_after),
                static_cast<long long>(headroom),
                static_cast<long long>(
-                   g_total_allocs.load(std::memory_order_relaxed)));
+                   g_total_allocs.load(std::memory_order_relaxed) -
+                   total_before));
   if (peak_after > at_quarter + headroom) {
     fail("live allocation count kept growing across crash/recover cycles");
   }
 
+  return failures;
+}
+
+}  // namespace
+
+int main() {
+  std::uint64_t jobs = 200'000;
+  if (const char* env = std::getenv("TMC_SOAK_JOBS")) {
+    const unsigned long long parsed = std::strtoull(env, nullptr, 10);
+    if (parsed < 100) {
+      std::fprintf(stderr, "soak_faults: TMC_SOAK_JOBS must be >= 100\n");
+      return 2;
+    }
+    jobs = parsed;
+  }
+  const int failures = soak(/*wormhole=*/true, jobs) +
+                       soak(/*wormhole=*/false, jobs);
   if (failures == 0) {
     std::fprintf(stderr, "soak_faults: PASS\n");
     return 0;
   }
   return 1;
 }
-
-}  // namespace
-
-int main() { return run(); }
