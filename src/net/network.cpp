@@ -59,8 +59,13 @@ void StoreForwardNetwork::send(Message msg, mem::Block payload) {
 }
 
 void StoreForwardNetwork::kick() {
-  drain_parked(parked_, kick_scratch_,
-               [this](sim::SlotHandle unit) { forward(unit); });
+  drain_parked(parked_, kick_scratch_, [this](sim::SlotHandle unit) {
+    if (blocked(units_[unit.index])) {
+      parked_.push_back(unit);  // keeps its place without parking again
+    } else {
+      forward(unit);
+    }
+  });
 }
 
 void StoreForwardNetwork::forward(sim::SlotHandle unit) {
@@ -85,8 +90,7 @@ void StoreForwardNetwork::forward(sim::SlotHandle unit) {
   // pinning its buffer at this node, until kick(). One adjacency scan
   // yields both the next node and the directed link.
   u.hop = routing_.next_hop_link(u.at, u.msg.dst_node);
-  if (!may_progress(u.msg) ||
-      (fault_ != nullptr && !fault_->link_usable(u.hop.link))) {
+  if (blocked(u)) {
     record_park(sim_.now(), u.msg);
     parked_.push_back(unit);
     return;
@@ -183,7 +187,11 @@ void WormholeNetwork::send(Message msg, mem::Block payload) {
 
 void WormholeNetwork::kick() {
   drain_parked(parked_, kick_scratch_, [this](Pending& p) {
-    launch(p.msg, std::move(p.payload));
+    if (blocked(p.msg)) {
+      parked_.push_back(std::move(p));  // keeps its place without parking
+    } else {
+      launch(p.msg, std::move(p.payload));
+    }
   });
 }
 
@@ -193,24 +201,10 @@ void WormholeNetwork::launch(Message msg, mem::Block payload) {
     deliver_(msg, std::move(payload));
     return;
   }
-  if (!may_progress(msg)) {
+  if (blocked(msg)) {
     record_park(sim_.now(), msg);
     parked_.push_back(Pending{msg, std::move(payload)});
     return;
-  }
-  if (fault_ != nullptr) {
-    // A circuit cannot form across a downed link (or dead router): park
-    // until a repair kicks the parked set. Once established, a circuit
-    // completes even if a link on it fails mid-flight (the flits already
-    // occupy the path) -- the documented approximation.
-    routing_.link_path(msg.src_node, msg.dst_node, path_scratch_);
-    for (const LinkId id : path_scratch_) {
-      if (!fault_->link_usable(id)) {
-        record_park(sim_.now(), msg);
-        parked_.push_back(Pending{msg, std::move(payload)});
-        return;
-      }
-    }
   }
   // The worm slot is taken before the destination-buffer request so the
   // source payload has a stable home while the message waits on memory
@@ -223,6 +217,18 @@ void WormholeNetwork::launch(Message msg, mem::Block payload) {
       msg.bytes + params_.header_bytes, [this, worm](mem::Block dst_buf) {
         transmit(worm, std::move(dst_buf));
       });
+}
+
+bool WormholeNetwork::blocked(const Message& msg) {
+  if (!may_progress(msg)) return true;
+  if (fault_ == nullptr) return false;
+  // A circuit cannot form across a downed link (or dead router): the
+  // message parks until a repair kicks the parked set. Once established, a
+  // circuit completes even if a link on it fails mid-flight (the flits
+  // already occupy the path) -- the documented approximation.
+  routing_.link_path(msg.src_node, msg.dst_node, path_scratch_);
+  return std::any_of(path_scratch_.begin(), path_scratch_.end(),
+                     [this](LinkId id) { return !fault_->link_usable(id); });
 }
 
 void WormholeNetwork::transmit(sim::SlotHandle worm, mem::Block dst) {

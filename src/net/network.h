@@ -120,7 +120,10 @@ class Network {
   void set_fault_plane(FaultPlane* plane) { fault_ = plane; }
   void set_loss_hook(LossHook hook) { loss_ = std::move(hook); }
 
-  /// Re-attempts every parked message (called when a job's turn begins).
+  /// Re-attempts every parked unit that can move now (a job's turn began,
+  /// or a link or router came back). Units still held by the progress gate
+  /// or a downed link keep their places in the parked order, unretried, so
+  /// a unit parks once per stop.
   virtual void kick() {}
 
   [[nodiscard]] bool may_progress(const Message& msg) const {
@@ -270,6 +273,12 @@ class StoreForwardNetwork final : public Network {
 
   /// Moves a unit buffered at its node one hop on, or delivers it.
   void forward(sim::SlotHandle unit);
+  /// The unit's job is frozen, or its next link (`hop`, already routed) or
+  /// the router behind it is down: it parks, or stays parked.
+  [[nodiscard]] bool blocked(const Unit& u) const {
+    return !may_progress(u.msg) ||
+           (fault_ != nullptr && !fault_->link_usable(u.hop.link));
+  }
   void arrive_fragment(sim::SlotHandle reassembly, mem::Block held);
   void try_finish_reassembly(sim::SlotHandle reassembly);
 
@@ -334,6 +343,9 @@ class WormholeNetwork final : public Network {
   };
 
   void launch(Message msg, mem::Block payload);
+  /// The message's job is frozen, or a link on its path is down: it parks,
+  /// or stays parked.
+  [[nodiscard]] bool blocked(const Message& msg);
   void transmit(sim::SlotHandle worm, mem::Block dst);
   void complete(sim::SlotHandle worm);
 

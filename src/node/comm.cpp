@@ -112,9 +112,9 @@ void CommSystem::abort_job(JobId job) {
   ++incarnations_[job];
   // The job may die mid-rotation with its traffic frozen: unfreeze so the
   // now-stale messages drain out of the parked sets and die at delivery
-  // instead of pinning transit buffers forever.
+  // instead of pinning transit buffers forever. Nothing else needs a kick:
+  // traffic parked on a downed link is kicked by the repair that frees it.
   set_job_active(job, true);
-  network_.kick();
 }
 
 void CommSystem::on_loss(const net::Message& msg) {

@@ -60,8 +60,9 @@ class CommSystem {
 
   /// Coscheduling hook: while a job is marked inactive its messages stop
   /// progressing through the network (parking where they are and pinning
-  /// their buffers); marking it active again kicks them loose. Called by
-  /// the partition schedulers on gang turn boundaries.
+  /// their buffers); marking it active again kicks its parked units loose,
+  /// while jobs still frozen keep theirs parked, unretried. Called by the
+  /// partition schedulers on gang turn boundaries.
   void set_job_active(JobId job, bool active);
   [[nodiscard]] bool job_active(JobId job) const {
     return std::find(suspended_jobs_.begin(), suspended_jobs_.end(), job) ==
@@ -81,7 +82,7 @@ class CommSystem {
 
   /// Fault-mode job teardown: bumps the job's incarnation so in-flight
   /// messages and queued resends addressed to its old life die quietly at
-  /// delivery, unfreezes its traffic and kicks the parked sets loose.
+  /// delivery, and unfreezes its traffic so its parked units drain.
   void abort_job(JobId job);
 
   /// Resends attempted after a fault-induced loss.

@@ -1,132 +1,167 @@
 #include "obs/export.h"
 
 #include <array>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <concepts>
+#include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 namespace tmc::obs {
 namespace {
 
-/// JSON string escape (quotes, backslashes, control characters).
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// %.12g keeps 12 significant digits -- plenty for metrics -- and non-finite
-/// values (not representable in JSON) clamp to 0.
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  return buf;
-}
-
-/// Microsecond timestamp from nanoseconds, keeping sub-us fractions.
-std::string trace_ts(std::int64_t ns) {
-  char buf[48];
-  if (ns % 1000 == 0) {
-    std::snprintf(buf, sizeof buf, "%" PRId64, ns / 1000);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.3f", static_cast<double>(ns) / 1000.0);
-  }
-  return buf;
-}
-
-struct KindInfo {
-  int pid;
-  const char* process_name;
+/// Formatting parts for append(): text and characters go in verbatim,
+/// integers as decimals, doubles as JSON numbers, and the wrappers below
+/// as an escaped string or a trace timestamp.
+struct Escaped {
+  std::string_view text;
+};
+struct Micros {
+  std::int64_t ns;
 };
 
-KindInfo kind_info(TrackKind kind) {
-  switch (kind) {
-    case TrackKind::kNode:
-      return {1, "nodes"};
-    case TrackKind::kLink:
-      return {2, "links"};
-    case TrackKind::kPartition:
-      return {3, "partitions"};
-    case TrackKind::kGlobal:
-      return {4, "machine"};
-    case TrackKind::kJob:
-      return {5, "jobs"};
-  }
-  return {4, "machine"};
+/// Appends std::to_chars(value, format...) -- the bytes printf gives.
+template <typename... Format>
+void put_chars(std::string& out, Format... format) {
+  char buf[64];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, format...).ptr);
 }
 
-const char* kind_name(Registry::Kind kind) {
-  switch (kind) {
-    case Registry::Kind::kCounter:
-      return "counter";
-    case Registry::Kind::kGauge:
-      return "gauge";
-    case Registry::Kind::kDistribution:
-      return "distribution";
-    case Registry::Kind::kProbe:
-      return "probe";
+void put(std::string& out, std::string_view text) { out += text; }
+void put(std::string& out, char c) { out += c; }
+void put(std::string& out, std::integral auto v) { put_chars(out, v); }
+
+/// %.12g (to_chars' general format at precision 12) keeps 12 significant
+/// digits -- plenty for metrics -- and non-finite values (not
+/// representable in JSON) clamp to 0.
+void put(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
   }
-  return "counter";
+  put_chars(out, v, std::chars_format::general, 12);
+}
+
+/// JSON string escape (quotes, backslashes, control characters).
+void put(std::string& out, Escaped e) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  for (const char c : e.text) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (c == '\n') {
+      out += "\\n";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\r') {
+      out += "\\r";
+    } else if (u < 0x20) {
+      out += "\\u00";
+      out += kHex[u >> 4];
+      out += kHex[u & 0xf];
+    } else {
+      out += c;
+    }
+  }
+}
+
+/// Microsecond timestamp from nanoseconds, keeping sub-us fractions (%.3f).
+void put(std::string& out, Micros t) {
+  if (t.ns % 1000 == 0) {
+    put_chars(out, t.ns / 1000);
+  } else {
+    put_chars(out, static_cast<double>(t.ns) / 1000.0,
+              std::chars_format::fixed, 3);
+  }
+}
+
+template <typename... Parts>
+void append(std::string& out, const Parts&... parts) {
+  (put(out, parts), ...);
+}
+
+void write_out(std::ostream& os, const std::string& text) {
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+/// Chrome trace "process" per track kind: pid = TrackKind + 1.
+constexpr std::array<std::string_view, 5> kProcessNames{
+    "nodes", "links", "partitions", "machine", "jobs"};
+
+int pid(TrackKind kind) { return static_cast<int>(kind) + 1; }
+
+/// The one record layout: `head`, then "id" (async and flow kinds), "pid",
+/// "tid" (all but samples), "ts", "dur" (spans), "name" and "args".
+/// Samples (counter events) group by (pid, name), so their name is
+/// qualified with the track name and their one arg is keyed by the channel.
+/// Async spans nest per (cat, id), so concurrent jobs share a class track;
+/// a flow finish's "bp":"e" binds the arrow head to the enclosing slice.
+struct Layout {
+  std::string_view head;
+  bool id = false;
+  bool dur = false;
+};
+
+// Indexed by RecordKind.
+constexpr std::array<Layout, 7> kLayouts{{
+    {R"({"ph":"X")", false, true},                 // kSpan
+    {R"({"ph":"i","s":"t")"},                      // kInstant
+    {R"({"ph":"C")"},                              // kSample
+    {R"({"ph":"b","cat":"job")", true},            // kAsyncBegin
+    {R"({"ph":"e","cat":"job")", true},            // kAsyncEnd
+    {R"({"ph":"s","cat":"flow")", true},           // kFlowStart
+    {R"({"ph":"f","bp":"e","cat":"flow")", true},  // kFlowFinish
+}};
+static_assert(kLayouts.size() ==
+              static_cast<std::size_t>(RecordKind::kFlowFinish) + 1);
+
+/// Batches larger than this go out in several writes, so the buffered
+/// timeline's tail (the whole run) never costs a second copy of the trace.
+constexpr std::size_t kWriteBytes = std::size_t{1} << 20;
+
+/// Indexed by Registry::Kind.
+constexpr std::array<std::string_view, 4> kInstrumentKinds{
+    "counter", "gauge", "distribution", "probe"};
+
+std::string_view kind_name(Registry::Kind kind) {
+  return kInstrumentKinds[static_cast<std::size_t>(kind)];
 }
 
 }  // namespace
 
 void ChromeTraceWriter::sep() {
-  if (!first_) os_ << ",\n";
+  if (!first_) buf_ += ",\n";
   first_ = false;
 }
 
+void ChromeTraceWriter::flush() {
+  write_out(os_, buf_);
+  buf_.clear();
+}
+
 void ChromeTraceWriter::begin(const Timeline& timeline) {
-  os_ << "{\"traceEvents\":[";
+  buf_ += "{\"traceEvents\":[";
   // Metadata: name each process (track kind) and thread (track).
-  std::array<bool, 5> kind_seen{};
+  std::array<bool, kProcessNames.size()> kind_seen{};
   const auto& tracks = timeline.tracks();
   for (std::size_t i = 0; i < tracks.size(); ++i) {
-    const KindInfo info = kind_info(tracks[i].kind);
-    const auto kind_index = static_cast<std::size_t>(info.pid - 1);
-    if (!kind_seen[kind_index]) {
-      kind_seen[kind_index] = true;
+    const TrackKind kind = tracks[i].kind;
+    if (!kind_seen[static_cast<std::size_t>(kind)]) {
+      kind_seen[static_cast<std::size_t>(kind)] = true;
       sep();
-      os_ << "{\"ph\":\"M\",\"pid\":" << info.pid
-          << ",\"name\":\"process_name\",\"args\":{\"name\":\""
-          << info.process_name << "\"}}";
+      append(buf_, "{\"ph\":\"M\",\"pid\":", pid(kind),
+             ",\"name\":\"process_name\",\"args\":{\"name\":\"",
+             kProcessNames[static_cast<std::size_t>(kind)], "\"}}");
     }
     sep();
-    os_ << "{\"ph\":\"M\",\"pid\":" << info.pid << ",\"tid\":" << i + 1
-        << ",\"name\":\"thread_name\",\"args\":{\"name\":\""
-        << json_escape(tracks[i].name) << "\"}}";
+    append(buf_, "{\"ph\":\"M\",\"pid\":", pid(kind), ",\"tid\":", i + 1,
+           ",\"name\":\"thread_name\",\"args\":{\"name\":\"",
+           Escaped{tracks[i].name}, "\"}}");
   }
+  flush();
 }
 
 void ChromeTraceWriter::write_records(
@@ -134,59 +169,32 @@ void ChromeTraceWriter::write_records(
   const auto& tracks = timeline.tracks();
   for (const TimelineRecord& r : records) {
     const Timeline::Track& track = tracks[r.track];
-    const KindInfo info = kind_info(track.kind);
-    const std::string name = json_escape(timeline.name(r.name));
+    const Layout& layout = kLayouts[static_cast<std::size_t>(r.kind)];
+    const bool sample = r.kind == RecordKind::kSample;
+    const Escaped name{timeline.name(r.name)};
     sep();
-    switch (r.kind) {
-      case RecordKind::kSpan:
-        os_ << "{\"ph\":\"X\",\"pid\":" << info.pid
-            << ",\"tid\":" << r.track + 1 << ",\"ts\":" << trace_ts(r.start_ns)
-            << ",\"dur\":" << trace_ts(r.dur_ns) << ",\"name\":\"" << name
-            << "\",\"args\":{\"value\":" << json_number(r.value) << "}}";
-        break;
-      case RecordKind::kInstant:
-        os_ << "{\"ph\":\"i\",\"s\":\"t\",\"pid\":" << info.pid
-            << ",\"tid\":" << r.track + 1 << ",\"ts\":" << trace_ts(r.start_ns)
-            << ",\"name\":\"" << name
-            << "\",\"args\":{\"value\":" << json_number(r.value) << "}}";
-        break;
-      case RecordKind::kSample:
-        // Counter events group by (pid, name); qualify with the track name
-        // so each (track, channel) pair gets its own counter track.
-        os_ << "{\"ph\":\"C\",\"pid\":" << info.pid
-            << ",\"ts\":" << trace_ts(r.start_ns) << ",\"name\":\""
-            << json_escape(track.name) << ":" << name << "\",\"args\":{\""
-            << name << "\":" << json_number(r.value) << "}}";
-        break;
-      case RecordKind::kAsyncBegin:
-      case RecordKind::kAsyncEnd:
-        // Async spans keyed by (cat, id): same-id begin/end pairs nest as a
-        // stack, so concurrent jobs share one class track without merging.
-        os_ << "{\"ph\":\"" << (r.kind == RecordKind::kAsyncBegin ? 'b' : 'e')
-            << "\",\"cat\":\"job\",\"id\":" << r.id
-            << ",\"pid\":" << info.pid << ",\"tid\":" << r.track + 1
-            << ",\"ts\":" << trace_ts(r.start_ns) << ",\"name\":\"" << name
-            << "\",\"args\":{\"value\":" << json_number(r.value) << "}}";
-        break;
-      case RecordKind::kFlowStart:
-        os_ << "{\"ph\":\"s\",\"cat\":\"flow\",\"id\":" << r.id
-            << ",\"pid\":" << info.pid << ",\"tid\":" << r.track + 1
-            << ",\"ts\":" << trace_ts(r.start_ns) << ",\"name\":\"" << name
-            << "\",\"args\":{\"value\":" << json_number(r.value) << "}}";
-        break;
-      case RecordKind::kFlowFinish:
-        // "bp":"e" binds the arrow head to the enclosing slice so Perfetto
-        // draws it into the receive span rather than the next event.
-        os_ << "{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"flow\",\"id\":" << r.id
-            << ",\"pid\":" << info.pid << ",\"tid\":" << r.track + 1
-            << ",\"ts\":" << trace_ts(r.start_ns) << ",\"name\":\"" << name
-            << "\",\"args\":{\"value\":" << json_number(r.value) << "}}";
-        break;
+    buf_ += layout.head;
+    if (layout.id) append(buf_, ",\"id\":", r.id);
+    append(buf_, ",\"pid\":", pid(track.kind));
+    if (!sample) append(buf_, ",\"tid\":", r.track + 1);
+    append(buf_, ",\"ts\":", Micros{r.start_ns});
+    if (layout.dur) append(buf_, ",\"dur\":", Micros{r.dur_ns});
+    buf_ += ",\"name\":\"";
+    if (sample) {
+      append(buf_, Escaped{track.name}, ':', name, "\",\"args\":{\"", name);
+    } else {
+      append(buf_, name, "\",\"args\":{\"value");
     }
+    append(buf_, "\":", r.value, "}}");
+    if (buf_.size() >= kWriteBytes) flush();
   }
+  flush();
 }
 
-void ChromeTraceWriter::end() { os_ << "],\"displayTimeUnit\":\"ms\"}\n"; }
+void ChromeTraceWriter::end() {
+  buf_ += "],\"displayTimeUnit\":\"ms\"}\n";
+  flush();
+}
 
 void write_chrome_trace(const Timeline& timeline, std::ostream& os) {
   ChromeTraceWriter writer(os);
@@ -196,79 +204,82 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& os) {
 }
 
 void MetricsStreamWriter::begin(const std::vector<std::string>& channels) {
-  os_ << "{\"schema\":\"tmc-metrics-stream-v1\",\"label\":\""
-      << json_escape(label_) << "\",\"channels\":[";
+  line_.clear();
+  append(line_, "{\"schema\":\"tmc-metrics-stream-v1\",\"label\":\"",
+         Escaped{label_}, "\",\"channels\":[");
   for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (i != 0) os_ << ",";
-    os_ << "\"" << json_escape(channels[i]) << "\"";
+    if (i != 0) line_ += ',';
+    append(line_, '"', Escaped{channels[i]}, '"');
   }
-  os_ << "]}\n";
+  line_ += "]}\n";
+  write_out(os_, line_);
 }
 
 void MetricsStreamWriter::tick(double t_s, const std::vector<double>& values) {
-  os_ << "{\"t_s\":" << json_number(t_s) << ",\"v\":[";
+  line_.clear();
+  append(line_, "{\"t_s\":", t_s, ",\"v\":[");
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) os_ << ",";
-    os_ << json_number(values[i]);
+    if (i != 0) line_ += ',';
+    put(line_, values[i]);
   }
-  os_ << "]}\n";
+  line_ += "]}\n";
+  write_out(os_, line_);
   ++ticks_;
 }
 
 void write_metrics_json(const Registry& registry, std::ostream& os,
                         std::string_view label, sim::SimTime end) {
-  os << "{\"schema\":\"tmc-metrics-v1\",\"label\":\"" << json_escape(label)
-     << "\",\"end_time_s\":" << json_number(end.to_seconds())
-     << ",\"metrics\":[";
+  std::string out;
+  append(out, "{\"schema\":\"tmc-metrics-v1\",\"label\":\"", Escaped{label},
+         "\",\"end_time_s\":", end.to_seconds(), ",\"metrics\":[");
   bool first = true;
   for (const Registry::View& v : registry.snapshot()) {
-    if (!first) os << ",\n";
+    if (!first) out += ",\n";
     first = false;
-    os << "{\"name\":\"" << json_escape(v.name) << "\",\"kind\":\""
-       << kind_name(v.kind) << "\"";
+    append(out, "{\"name\":\"", Escaped{v.name}, "\",\"kind\":\"",
+           kind_name(v.kind), '"');
     if (v.kind == Registry::Kind::kDistribution) {
       const sim::OnlineStats& s = v.distribution->stats();
-      os << ",\"count\":" << s.count() << ",\"mean\":" << json_number(s.mean())
-         << ",\"stddev\":" << json_number(s.stddev())
-         << ",\"min\":" << json_number(s.min())
-         << ",\"max\":" << json_number(s.max());
+      append(out, ",\"count\":", s.count(), ",\"mean\":", s.mean(),
+             ",\"stddev\":", s.stddev(), ",\"min\":", s.min(),
+             ",\"max\":", s.max());
       if (const auto& h = v.distribution->histogram()) {
-        os << ",\"histogram\":{\"lo\":" << json_number(h->lo())
-           << ",\"hi\":" << json_number(h->hi())
-           << ",\"underflow\":" << h->underflow()
-           << ",\"overflow\":" << h->overflow() << ",\"bins\":[";
+        append(out, ",\"histogram\":{\"lo\":", h->lo(), ",\"hi\":", h->hi(),
+               ",\"underflow\":", h->underflow(),
+               ",\"overflow\":", h->overflow(), ",\"bins\":[");
         for (std::size_t i = 0; i < h->bin_count_size(); ++i) {
-          if (i != 0) os << ",";
-          os << h->bin_count(i);
+          if (i != 0) out += ',';
+          put(out, h->bin_count(i));
         }
-        os << "]}";
+        out += "]}";
       }
     } else if (v.kind == Registry::Kind::kCounter) {
-      os << ",\"value\":" << v.count;
+      append(out, ",\"value\":", v.count);
     } else {
-      os << ",\"value\":" << json_number(v.value);
+      append(out, ",\"value\":", v.value);
     }
-    os << "}";
+    out += '}';
   }
-  os << "]}\n";
+  out += "]}\n";
+  write_out(os, out);
 }
 
 void write_metrics_csv(const Registry& registry, std::ostream& os) {
-  os << "name,kind,count,value,mean,stddev,min,max\n";
+  std::string out = "name,kind,count,value,mean,stddev,min,max\n";
   for (const Registry::View& v : registry.snapshot()) {
-    os << v.name << "," << kind_name(v.kind) << ",";
+    append(out, v.name, ',', kind_name(v.kind), ',');
     if (v.kind == Registry::Kind::kDistribution) {
       const sim::OnlineStats& s = v.distribution->stats();
-      os << s.count() << ",," << json_number(s.mean()) << ","
-         << json_number(s.stddev()) << "," << json_number(s.min()) << ","
-         << json_number(s.max());
+      append(out, s.count(), ",,", s.mean(), ',', s.stddev(), ',', s.min(),
+             ',', s.max());
     } else if (v.kind == Registry::Kind::kCounter) {
-      os << v.count << "," << v.count << ",,,,";
+      append(out, v.count, ',', v.count, ",,,,");
     } else {
-      os << "," << json_number(v.value) << ",,,,";
+      append(out, ',', v.value, ",,,,");
     }
-    os << "\n";
+    out += '\n';
   }
+  write_out(os, out);
 }
 
 }  // namespace tmc::obs

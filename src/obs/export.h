@@ -4,9 +4,9 @@
 //  * Chrome trace_event JSON from a Timeline -- loadable in Perfetto or
 //    chrome://tracing; one trace "process" per track kind (nodes, links,
 //    partitions) and one named thread per track. ChromeTraceWriter is the
-//    incremental form: the buffered write_chrome_trace and the hub's
-//    chunked streaming sink both drive it, which is what makes their
-//    outputs byte-identical by construction.
+//    only encoder: the hub drives it for buffered and chunked timelines
+//    alike (a buffered timeline is one drained at end of run), and
+//    write_chrome_trace wraps it for a whole in-memory timeline.
 //  * Metrics JSON from a Registry -- `{"schema":"tmc-metrics-v1", ...}`,
 //    validated in CI by tools/check_obs_json.py.
 //  * Metrics CSV (one instrument per row) for spreadsheet/pandas use.
@@ -32,7 +32,9 @@ namespace tmc::obs {
 /// (process/thread metadata for every track registered so far), then any
 /// number of write_records() batches, then end() closes the document. Every
 /// track must be registered before begin() -- true for the machine, which
-/// wires observability before running.
+/// wires observability before running. Each call formats into one reused
+/// buffer and hands it to the stream in a single write (batches beyond
+/// 1 MiB of JSON in one write per MiB).
 class ChromeTraceWriter {
  public:
   explicit ChromeTraceWriter(std::ostream& os) : os_(os) {}
@@ -44,8 +46,10 @@ class ChromeTraceWriter {
 
  private:
   void sep();
+  void flush();
 
   std::ostream& os_;
+  std::string buf_;  // the batch being formatted; reused across calls
   bool first_ = true;
 };
 
@@ -56,8 +60,9 @@ void write_chrome_trace(const Timeline& timeline, std::ostream& os);
 /// JSONL metrics stream: a header line
 ///   {"schema":"tmc-metrics-stream-v1","label":...,"channels":[...]}
 /// then one `{"t_s":...,"v":[...]}` line per sampler tick (v parallel to
-/// channels). Each line is flushed as written -- nothing is buffered, so a
-/// million-job run costs the same memory as a sixteen-job one.
+/// channels). Each line goes to the stream as it is formatted -- nothing
+/// accumulates, so a million-job run costs the same memory as a
+/// sixteen-job one.
 class MetricsStreamWriter {
  public:
   explicit MetricsStreamWriter(std::ostream& os) : os_(os) {}
@@ -73,6 +78,7 @@ class MetricsStreamWriter {
  private:
   std::ostream& os_;
   std::string label_ = "tmcsim";
+  std::string line_;  // the line being formatted; reused across ticks
   std::uint64_t ticks_ = 0;
 };
 

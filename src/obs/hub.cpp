@@ -5,6 +5,19 @@
 #include <string_view>
 
 namespace tmc::obs {
+namespace {
+
+/// Flushes `out` if it was opened; true if it was and every write to it
+/// succeeded. Otherwise one diagnostic line names the output and its path.
+bool check_output(std::ostream& out, bool opened, std::ostream& diag,
+                  std::string_view what, const std::string& path) {
+  if (opened && out.flush()) return true;
+  diag << "obs: " << (opened ? "error writing " : "cannot open ") << what
+       << " path " << path << "\n";
+  return false;
+}
+
+}  // namespace
 
 std::vector<cli::Flag> cli_flags(Options& options) {
   std::vector<cli::Flag> rows = cli::in_family(cli::Family::kObs, {
@@ -63,9 +76,13 @@ Hub::Hub(Options options) : options_(std::move(options)) {
     }
   }
   if (!options_.timeline_path.empty() && options_.timeline_chunk > 0) {
+    // On open failure the chunk is dropped (the buffer must still be
+    // cleared to keep memory flat); write_outputs reports the error.
     timeline_.set_flush(
         [this](const std::vector<TimelineRecord>& records) {
-          stream_timeline_chunk(records);
+          if (ensure_timeline_writer()) {
+            timeline_writer_->write_records(timeline_, records);
+          }
         },
         options_.timeline_chunk);
   }
@@ -80,101 +97,67 @@ bool Hub::ensure_timeline_writer() {
     return false;
   }
   // All tracks are registered before the run starts (the machine wires
-  // observability during construction), so the preamble written here is
-  // identical to what the buffered exporter would emit.
+  // observability during construction), so the preamble is the same
+  // whether the first chunk drains mid-run or the whole timeline at the
+  // end.
   timeline_writer_.emplace(timeline_stream_out_);
   timeline_writer_->begin(timeline_);
   return true;
-}
-
-void Hub::stream_timeline_chunk(const std::vector<TimelineRecord>& records) {
-  // On open failure the chunk is dropped (the buffer must still be cleared
-  // to keep memory flat); write_outputs reports the error at end of run.
-  if (!ensure_timeline_writer()) return;
-  timeline_writer_->write_records(timeline_, records);
 }
 
 bool Hub::write_outputs(std::ostream& diag) {
   bool ok = true;
 
   if (options_.metrics) {
-    const bool csv = options_.metrics_path.size() > 4 &&
-                     options_.metrics_path.substr(
-                         options_.metrics_path.size() - 4) == ".csv";
-    if (options_.metrics_path.empty()) {
+    const std::string& path = options_.metrics_path;
+    const bool csv = path.size() > 4 && path.ends_with(".csv");
+    if (path.empty()) {
       write_metrics_json(registry_, diag, label_, end_time_);
     } else {
-      std::ofstream out(options_.metrics_path);
-      if (!out) {
-        diag << "obs: cannot open metrics path " << options_.metrics_path
-             << "\n";
-        ok = false;
+      std::ofstream out(path);
+      const bool opened = out.is_open();
+      if (opened && csv) {
+        write_metrics_csv(registry_, out);
+      } else if (opened) {
+        write_metrics_json(registry_, out, label_, end_time_);
+      }
+      if (check_output(out, opened, diag, "metrics", path)) {
+        diag << "obs: wrote " << registry_.size() << " metrics to " << path
+             << (csv ? " (csv)\n" : " (json)\n");
       } else {
-        if (csv) {
-          write_metrics_csv(registry_, out);
-        } else {
-          write_metrics_json(registry_, out, label_, end_time_);
-        }
-        diag << "obs: wrote " << registry_.size() << " metrics to "
-             << options_.metrics_path << (csv ? " (csv)\n" : " (json)\n");
+        ok = false;
       }
     }
   }
 
   if (!options_.timeline_path.empty()) {
-    if (options_.timeline_chunk > 0) {
-      // Chunked mode: most records were already drained during the run;
-      // write the tail, then the closing bracket.
-      if (!ensure_timeline_writer()) {
-        diag << "obs: cannot open timeline path " << options_.timeline_path
-             << "\n";
-        ok = false;
-      } else {
-        timeline_writer_->write_records(timeline_, timeline_.records());
-        timeline_writer_->end();
-        timeline_stream_out_.flush();
-        if (!timeline_stream_out_) {
-          diag << "obs: error writing timeline path " << options_.timeline_path
-               << "\n";
-          ok = false;
-        } else {
-          diag << "obs: streamed "
-               << timeline_.flushed_records() + timeline_.records().size()
-               << " timeline records (" << timeline_.tracks().size()
-               << " tracks, chunk " << options_.timeline_chunk << ") to "
-               << options_.timeline_path << "\n";
-        }
-      }
+    // A buffered timeline is a chunked one that drained nothing during the
+    // run: either way, write the tail, then the closing bracket.
+    const bool opened = ensure_timeline_writer();
+    if (opened) {
+      timeline_writer_->write_records(timeline_, timeline_.records());
+      timeline_writer_->end();
+    }
+    if (check_output(timeline_stream_out_, opened, diag, "timeline",
+                     options_.timeline_path)) {
+      const std::size_t chunk = options_.timeline_chunk;
+      diag << "obs: " << (chunk > 0 ? "streamed " : "wrote ")
+           << timeline_.flushed_records() + timeline_.records().size()
+           << " timeline records (" << timeline_.tracks().size() << " tracks";
+      if (chunk > 0) diag << ", chunk " << chunk;
+      diag << ") to " << options_.timeline_path << "\n";
     } else {
-      std::ofstream out(options_.timeline_path);
-      if (!out) {
-        diag << "obs: cannot open timeline path " << options_.timeline_path
-             << "\n";
-        ok = false;
-      } else {
-        write_chrome_trace(timeline_, out);
-        diag << "obs: wrote " << timeline_.records().size()
-             << " timeline records (" << timeline_.tracks().size()
-             << " tracks) to " << options_.timeline_path << "\n";
-      }
+      ok = false;
     }
   }
 
   if (!options_.metrics_stream_path.empty()) {
-    if (metrics_stream_failed_) {
-      diag << "obs: cannot open metrics stream path "
-           << options_.metrics_stream_path << "\n";
-      ok = false;
+    if (check_output(metrics_stream_out_, !metrics_stream_failed_, diag,
+                     "metrics stream", options_.metrics_stream_path)) {
+      diag << "obs: streamed " << metrics_stream_writer_->ticks()
+           << " metric samples to " << options_.metrics_stream_path << "\n";
     } else {
-      metrics_stream_out_.flush();
-      if (!metrics_stream_out_) {
-        diag << "obs: error writing metrics stream path "
-             << options_.metrics_stream_path << "\n";
-        ok = false;
-      } else {
-        diag << "obs: streamed " << metrics_stream_writer_->ticks()
-             << " metric samples to " << options_.metrics_stream_path << "\n";
-      }
+      ok = false;
     }
   }
 

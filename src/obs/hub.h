@@ -11,14 +11,13 @@
 // `--metrics-stream=path`, `--sample-interval MS`, `--slo`) are declared
 // here so tmc_cli and every bench agree on flag semantics.
 //
-// Two sinks exist for long-lived (sustained-serving) runs where buffering
-// every record would grow without bound:
-//  * `--timeline-chunk N` drains the timeline to the trace file every N
-//    records; the output is byte-identical to the buffered `--timeline`
-//    path because both drive the same ChromeTraceWriter.
-//  * `--metrics-stream=path` writes one JSONL line per sampler tick
-//    ("tmc-metrics-stream-v1") with O(1) memory and works with or without
-//    a timeline file.
+// The timeline has one output path: a ChromeTraceWriter on the trace file.
+// `--timeline-chunk N` drains it every N records during the run, so a
+// long-lived (sustained-serving) run's memory stays flat; without it the
+// records buffer and the whole timeline drains at end of run. The bytes are
+// the same either way. `--metrics-stream=path` writes one JSONL line per
+// sampler tick ("tmc-metrics-stream-v1") with O(1) memory and works with
+// or without a timeline file.
 #pragma once
 
 #include <cstddef>
@@ -100,15 +99,15 @@ class Hub {
     end_time_ = end;
   }
 
-  /// Writes the requested outputs (metrics dump and/or timeline JSON).
-  /// Diagnostics (file errors, "wrote N records" notes) go to `diag`.
-  /// Returns false if any output file could not be written.
+  /// Writes the requested outputs (metrics dump and/or timeline JSON);
+  /// call once, at end of run. Diagnostics (file errors, "wrote N records"
+  /// notes) go to `diag`. Returns false if any output file could not be
+  /// opened or written; each file is flushed and checked.
   bool write_outputs(std::ostream& diag);
 
  private:
-  /// Drains one chunk of timeline records to the trace file, lazily opening
-  /// the file and writing the preamble on the first call.
-  void stream_timeline_chunk(const std::vector<TimelineRecord>& records);
+  /// Opens the trace file and writes the preamble on first use (the first
+  /// chunk drained, or end of run); false if the file cannot be opened.
   bool ensure_timeline_writer();
 
   Options options_;

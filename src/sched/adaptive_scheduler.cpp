@@ -125,16 +125,14 @@ void AdaptiveScheduler::on_node_down(net::NodeId node) {
   if (flag != 0) return;
   flag = 1;
   ++dead_count_;
-  // Buddy blocks are disjoint so at most one running job spans this node,
-  // but running_ is an unordered_map: collect and sort for a deterministic
-  // replay regardless.
-  affected_.clear();
-  for (const auto& [id, entry] : running_) {
-    const ProcessorBlock& b = entry.block;
-    if (node >= b.base && node < b.base + b.size) affected_.push_back(id);
-  }
-  std::sort(affected_.begin(), affected_.end());
-  for (const JobId id : affected_) abort_running(id);
+  // Buddy blocks are disjoint, so at most one running job spans this node.
+  const auto hit = std::find_if(running_.begin(), running_.end(),
+                                [node](const auto& entry) {
+                                  const ProcessorBlock& b = entry.second.block;
+                                  return node >= b.base &&
+                                         node < b.base + b.size;
+                                });
+  if (hit != running_.end()) abort_running(hit->first);
   pump();
 }
 

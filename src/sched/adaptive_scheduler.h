@@ -85,9 +85,6 @@ class AdaptiveScheduler final : public Scheduler {
   int dead_count_ = 0;
   /// Buddy blocks withheld from the pool because they span a dead node.
   std::vector<ProcessorBlock> quarantined_;
-  /// Scratch: job ids hit by a node death, sorted for deterministic replay
-  /// (running_ is an unordered_map).
-  std::vector<JobId> affected_;
 };
 
 }  // namespace tmc::sched

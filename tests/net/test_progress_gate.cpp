@@ -2,18 +2,32 @@
 // place, pinning their buffers, until kicked.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
 #include <unordered_set>
 #include <vector>
 
 #include "mem/mmu.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 
 namespace tmc::net {
 namespace {
 
 using sim::SimTime;
+
+/// Every link up or every link down; nothing dropped.
+struct AllLinks final : FaultPlane {
+  bool down = false;
+  [[nodiscard]] bool node_alive(NodeId /*node*/) const override {
+    return true;
+  }
+  [[nodiscard]] bool link_usable(LinkId /*link*/) const override {
+    return !down;
+  }
+  bool should_drop(const Message& /*msg*/) override { return false; }
+};
 
 class ProgressGateTest : public ::testing::Test {
  protected:
@@ -144,6 +158,91 @@ TEST_F(ProgressGateTest, WormholeGateParksBeforeLaunch) {
   worm.kick();
   sim.run();
   EXPECT_EQ(worm_delivered.size(), 1u);
+}
+
+TEST_F(ProgressGateTest, KickSkipsStillFrozenJobsAndKeepsTheOrder) {
+  obs::Counter parks;
+  net->set_metrics(&parks);
+  frozen = {1, 2};
+  net->send(make_msg(2, 0, 3), buffer_at(0, 100));  // id 1
+  net->send(make_msg(1, 0, 3), buffer_at(0, 100));  // id 2
+  net->send(make_msg(2, 0, 3), buffer_at(0, 100));  // id 3
+  sim.run();
+  ASSERT_EQ(parks.value, 3u);
+  frozen.erase(1);
+  net->kick();  // job 2's units stay parked without parking again
+  EXPECT_EQ(parks.value, 3u);
+  EXPECT_EQ(net->parked_messages(), 2u);
+  sim.run();
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{2}));
+  frozen.clear();
+  net->kick();
+  sim.run();
+  // Job 2's units left in the order they parked.
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{2, 1, 3}));
+  EXPECT_EQ(parks.value, 3u);
+  EXPECT_EQ(net->parked_messages(), 0u);
+}
+
+TEST_F(ProgressGateTest, WormholeKickSkipsStillFrozenJobs) {
+  WormholeNetwork worm(sim, topo, mmu_ptrs);
+  std::vector<std::uint64_t> worm_delivered;
+  worm.set_delivery_handler([&](const Message& msg, mem::Block buffer) {
+    worm_delivered.push_back(msg.id);
+    buffer.release();
+  });
+  worm.set_progress_gate(
+      [this](const Message& msg) { return !frozen.contains(msg.job); });
+  obs::Counter parks;
+  worm.set_metrics(&parks);
+  frozen = {1, 2};
+  worm.send(make_msg(2, 0, 3), buffer_at(0, 100));  // id 1
+  worm.send(make_msg(1, 0, 3), buffer_at(0, 100));  // id 2
+  worm.send(make_msg(2, 0, 3), buffer_at(0, 100));  // id 3
+  sim.run();
+  frozen.erase(1);
+  worm.kick();
+  sim.run();
+  EXPECT_EQ(worm_delivered, (std::vector<std::uint64_t>{2}));
+  EXPECT_EQ(parks.value, 3u);
+  EXPECT_EQ(worm.parked_messages(), 2u);
+  frozen.clear();
+  worm.kick();
+  sim.run();
+  EXPECT_EQ(worm_delivered, (std::vector<std::uint64_t>{2, 1, 3}));
+  EXPECT_EQ(parks.value, 3u);
+}
+
+// A kick while the link is still down leaves the unit parked without
+// parking it again; the repair's kick moves it.
+TEST_F(ProgressGateTest, KickSkipsUnitsBehindADownedLink) {
+  WormholeNetwork worm(sim, topo, mmu_ptrs);
+  worm.set_delivery_handler([this](const Message& msg, mem::Block buffer) {
+    delivered.push_back(msg.id);
+    buffer.release();
+  });
+  AllLinks links;
+  links.down = true;
+  obs::Counter parks;
+  for (Network* engine : std::initializer_list<Network*>{net.get(), &worm}) {
+    engine->set_fault_plane(&links);
+    engine->set_metrics(&parks);
+    engine->send(make_msg(7, 0, 3), buffer_at(0, 100));
+  }
+  sim.run();
+  ASSERT_EQ(parks.value, 2u);
+  net->kick();
+  worm.kick();
+  sim.run();
+  EXPECT_EQ(parks.value, 2u);
+  EXPECT_EQ(net->parked_messages(), 1u);
+  EXPECT_EQ(worm.parked_messages(), 1u);
+  links.down = false;
+  net->kick();
+  worm.kick();
+  sim.run();
+  EXPECT_EQ(delivered.size(), 2u);
+  EXPECT_EQ(parks.value, 2u);
 }
 
 }  // namespace

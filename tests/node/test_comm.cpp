@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/simulation.h"
 
 namespace tmc::node {
@@ -205,6 +206,45 @@ TEST_F(CommTest, ManyMessagesAllArrive) {
   sim.run();
   EXPECT_TRUE(pr->done());
   EXPECT_EQ(comm->deliveries(), static_cast<std::uint64_t>(kCount));
+}
+
+// A gang turn thaws one job: only that job's parked messages are retried.
+// The others stay parked without parking again, so the park counter counts
+// each frozen message once.
+TEST_F(CommTest, ThawingOneJobLeavesOtherJobsParked) {
+  obs::Counter parks;
+  network->set_metrics(&parks);
+  comm->set_job_active(1, false);
+  comm->set_job_active(2, false);
+  const auto endpoint = [](JobId job, net::EndpointId rank) {
+    return (net::EndpointId{job} << net::kEndpointRankBits) | rank;
+  };
+  std::vector<std::unique_ptr<Process>> procs;
+  const auto start = [&](JobId job, net::EndpointId rank, Program prog) {
+    procs.push_back(
+        std::make_unique<Process>(endpoint(job, rank), job, std::move(prog)));
+    Process& p = *procs.back();
+    p.bind_to_node(static_cast<net::NodeId>(rank));
+    comm->register_process(p);
+    cpus[rank]->make_ready(p);
+  };
+  for (const JobId job : {1u, 2u}) {
+    Program sender, receiver;
+    sender.send(endpoint(job, 1), 5, 100).send(endpoint(job, 1), 5, 100).exit();
+    receiver.receive(5).receive(5).exit();
+    start(job, 0, std::move(sender));
+    start(job, 1, std::move(receiver));
+  }
+  sim.run();
+  ASSERT_EQ(parks.value, 4u);
+  ASSERT_EQ(network->parked_messages(), 4u);
+
+  comm->set_job_active(1, true);
+  sim.run();
+  EXPECT_TRUE(procs[1]->done());   // job 1's receiver got both messages
+  EXPECT_FALSE(procs[3]->done());  // job 2's are still parked
+  EXPECT_EQ(network->parked_messages(), 2u);
+  EXPECT_EQ(parks.value, 4u);
 }
 
 }  // namespace
