@@ -480,6 +480,7 @@ MachineStats Multicomputer::stats() {
   MachineStats s;
   s.events = sim_.fired_events();
   s.quantum_steps = sim_.steps_taken();
+  s.scheduled_events = sim_.scheduled_events();
   s.peak_pending_events = sim_.peak_pending_events();
   s.messages = comm_->sends();
   s.self_sends = comm_->self_sends();

@@ -93,6 +93,8 @@ struct MachineStats {
   /// Silent steps: the quantum boundaries of stepped charges, and the ends
   /// of the context switches folded into the charge behind them.
   std::uint64_t quantum_steps = 0;
+  /// Events ever scheduled, cancelled ones included.
+  std::uint64_t scheduled_events = 0;
   /// High-water mark of the kernel's pending-event set (scaling studies:
   /// grows with machine size, and heap operations cost O(log) of it).
   std::size_t peak_pending_events = 0;

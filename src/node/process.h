@@ -85,6 +85,7 @@ class Process {
 
  private:
   friend class Transputer;
+  friend class EagerTransputer;  // the per-quantum test reference
 
   /// Per-op interpreter state.
   enum class OpPhase : std::uint8_t {

@@ -32,13 +32,11 @@ void Transputer::set_timeline(obs::Timeline* timeline, obs::TrackId track) {
   name_context_ = timeline_->intern("ctx-switch");
   name_high_ = timeline_->intern("high-pri");
   name_daemon_ = timeline_->intern("daemon");
-  name_quantum_ = timeline_->intern("quantum-expiry");
   name_exit_ = timeline_->intern("exit");
 }
 
-void Transputer::record_charge(ChargeKind kind, sim::SimTime start,
-                               sim::SimTime dur, double value) {
-  if (timeline_ == nullptr || dur.is_zero()) return;
+void Transputer::record_span(ChargeKind kind, sim::SimTime end) {
+  if (timeline_ == nullptr || end == span_started_) return;
   obs::NameId name = name_compute_;
   switch (kind) {
     case ChargeKind::kOp: name = name_compute_; break;
@@ -47,7 +45,9 @@ void Transputer::record_charge(ChargeKind kind, sim::SimTime start,
     case ChargeKind::kService: name = name_daemon_; break;
     case ChargeKind::kNone: return;
   }
-  timeline_->span(track_, name, start, dur, value);
+  const bool low = kind == ChargeKind::kOp || kind == ChargeKind::kContext;
+  timeline_->span(track_, name, span_started_, end - span_started_,
+                  low ? static_cast<double>(current_->id()) : 0.0);
 }
 
 void Transputer::make_ready(Process& p) {
@@ -119,8 +119,7 @@ void Transputer::interrupt_service() {
   (void)cancelled;
   charge_event_ = sim::kNoEvent;
   charge_kind_ = ChargeKind::kNone;
-  record_charge(ChargeKind::kService, charge_started_,
-                sim_.now() - charge_started_, 0.0);
+  record_span(ChargeKind::kService, sim_.now());
   consume_service(sim_.now() - charge_started_);
 }
 
@@ -364,6 +363,7 @@ void Transputer::plan_charge(ChargeKind kind, sim::SimTime amount) {
   assert(!amount.is_negative());
   charge_kind_ = kind;
   charge_started_ = sim_.now();
+  span_started_ = charge_started_;
   set_busy(true);
   charge_event_ = sim_.schedule(amount, [this] { on_charge_done(); });
 }
@@ -379,10 +379,7 @@ bool Transputer::alone() const {
 }
 
 void Transputer::plan_op(Process& p) {
-  // The per-quantum charges are the reference behaviour, and the timeline
-  // records each of them, so an armed CPU keeps them.
-  if (timeline_ != nullptr || p.compute_remaining_ <= quantum_left_ ||
-      !alone()) {
+  if (p.compute_remaining_ <= quantum_left_ || !alone()) {
     plan_charge(ChargeKind::kOp,
                 std::min(p.compute_remaining_, quantum_left_));
     return;
@@ -393,13 +390,12 @@ void Transputer::plan_op(Process& p) {
   // the boundaries with the draws the per-quantum events would make, so
   // event order is unchanged; settle_chain() replays their side effects.
   charge_started_ = sim_.now();
-  plan_stepped(quantum_left_, p.compute_remaining_);
+  plan_stepped(ChargeKind::kOp, quantum_left_, p.compute_remaining_);
 }
 
 void Transputer::plan_switch(Process& p) {
   const sim::SimTime ctx = params_.context_switch;
-  if (timeline_ != nullptr || ctx <= sim::SimTime::zero() ||
-      !stage_cpu_charge(p)) {
+  if (ctx <= sim::SimTime::zero() || !stage_cpu_charge(p)) {
     plan_charge(ChargeKind::kContext, ctx);
     return;
   }
@@ -409,13 +405,14 @@ void Transputer::plan_switch(Process& p) {
   // would draw, at the same moment. A competitor arriving during the
   // switch truncates the entry to the switch's end, where on_charge_done
   // takes the eager path; an interruption before the step is accounted as
-  // an interrupted switch.
+  // an interrupted switch. The entry is a kContext charge until the kernel
+  // steps past the switch's end (settle_chain).
   const sim::SimTime run = alone()
                                ? p.compute_remaining_
                                : std::min(p.compute_remaining_, quantum_left_);
   switch_end_ = sim_.now() + ctx;
   charge_started_ = switch_end_;
-  plan_stepped(ctx, ctx + run);
+  plan_stepped(ChargeKind::kContext, ctx, ctx + run);
 }
 
 bool Transputer::stage_cpu_charge(Process& p) {
@@ -430,9 +427,11 @@ bool Transputer::stage_cpu_charge(Process& p) {
   return p.compute_remaining_ > sim::SimTime::zero();
 }
 
-void Transputer::plan_stepped(sim::SimTime first, sim::SimTime deadline) {
+void Transputer::plan_stepped(ChargeKind kind, sim::SimTime first,
+                              sim::SimTime deadline) {
   assert(charge_event_ == sim::kNoEvent);
-  charge_kind_ = ChargeKind::kOp;
+  charge_kind_ = kind;
+  span_started_ = sim_.now();
   stepped_ = true;
   set_busy(true);
   charge_event_ = sim_.schedule_stepped(first, current_->quantum(), deadline,
@@ -451,6 +450,14 @@ std::int64_t Transputer::boundaries_before(sim::SimTime next) const {
 }
 
 void Transputer::settle_chain(sim::SimTime next) {
+  if (charge_kind_ == ChargeKind::kContext) {
+    // A folded switch ends when the kernel steps past its end; from there
+    // on the entry is the op charge behind it.
+    if (next == switch_end_) return;
+    record_span(ChargeKind::kContext, switch_end_);
+    charge_kind_ = ChargeKind::kOp;
+    span_started_ = switch_end_;
+  }
   const std::int64_t n = boundaries_before(next);
   if (n == 0) return;
   // n times the alone-on-the-CPU path of on_charge_done, in one go.
@@ -476,25 +483,17 @@ std::uint64_t Transputer::quantum_expiries() const {
 
 void Transputer::on_charge_done() {
   charge_event_ = sim::kNoEvent;
-  const ChargeKind kind = charge_kind_;
-  charge_kind_ = ChargeKind::kNone;
   if (stepped_) {
     stepped_ = false;
-    if (sim_.now() == switch_end_) {
-      // A folded switch truncated before its first step: only the switch
-      // ran. Carry on from its end, as the switch charge's completion does.
-      continue_low();
-      return;
-    }
-    settle_chain(sim_.now());  // the kernel stepped every boundary before now
+    // The kernel stepped every boundary before now. A folded switch
+    // truncated before its first step stays a kContext charge: only the
+    // switch ran.
+    settle_chain(sim_.now());
   }
+  const ChargeKind kind = charge_kind_;
+  charge_kind_ = ChargeKind::kNone;
   const sim::SimTime amount = sim_.now() - charge_started_;
-  if (timeline_ != nullptr) {
-    record_charge(kind, charge_started_, amount,
-                  kind == ChargeKind::kOp || kind == ChargeKind::kContext
-                      ? static_cast<double>(current_->id())
-                      : 0.0);
-  }
+  record_span(kind, sim_.now());
 
   switch (kind) {
     case ChargeKind::kHigh: {
@@ -528,10 +527,6 @@ void Transputer::on_charge_done() {
       }
       if (quantum_left_.is_zero()) {
         ++quantum_expiries_;
-        if (timeline_ != nullptr) {
-          timeline_->instant(track_, name_quantum_, sim_.now(),
-                             static_cast<double>(p.id()));
-        }
         if (!low_queue_.empty() || !high_queue_.empty() ||
             !service_queue_.empty()) {
           // The T805 puts the expired process at the back of the ready queue.
@@ -554,11 +549,9 @@ void Transputer::on_charge_done() {
 Process& Transputer::interrupt_low_charge() {
   assert(charge_kind_ == ChargeKind::kOp ||
          charge_kind_ == ChargeKind::kContext);
-  // A folded switch whose first step is still pending is a switch in
-  // progress, whichever order same-instant events at its end arrive in.
-  const bool in_switch =
-      charge_kind_ == ChargeKind::kContext ||
-      (stepped_ && sim_.pending_time(charge_event_) == switch_end_);
+  // After settling, a folded switch whose first step is still pending is
+  // a switch in progress, whichever order same-instant events at its end
+  // arrive in.
   settle();
   stepped_ = false;
   const bool cancelled = sim_.cancel(charge_event_);
@@ -570,10 +563,8 @@ Process& Transputer::interrupt_low_charge() {
 
   Process& p = *current_;
   ++p.preemptions_;
-  // (An armed CPU never folds a switch, so `kind` is the recorded one.)
-  record_charge(kind, charge_started_, sim_.now() - charge_started_,
-                static_cast<double>(p.id()));
-  if (in_switch) {
+  record_span(kind, sim_.now());
+  if (kind == ChargeKind::kContext) {
     // The interrupted context switch must be paid again later.
     last_ran_ = nullptr;
   } else {

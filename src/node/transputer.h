@@ -66,10 +66,11 @@ class Transputer {
     send_dispatcher_ = std::move(dispatcher);
   }
 
-  /// Optional timeline recorder (null = off): every completed or interrupted
-  /// CPU charge becomes a span on `track` (compute spans carry the process
-  /// id as their value); quantum expirations and process exits (value =
-  /// pid) become instants.
+  /// Optional timeline recorder (null = off); it changes nothing in the
+  /// run. Each charge becomes a span on `track` when it ends or is
+  /// interrupted: a stepped charge is one `compute` span, a folded switch
+  /// keeps its `ctx-switch` span, and both carry the process id as their
+  /// value. Process exits (value = pid) become instants.
   void set_timeline(obs::Timeline* timeline, obs::TrackId track);
 
   [[nodiscard]] net::NodeId node() const { return node_; }
@@ -179,21 +180,24 @@ class Transputer {
   /// Schedules the end-of-charge event.
   void plan_charge(ChargeKind kind, sim::SimTime amount);
   /// Plans the next charge of the op at current_->pc_. With the CPU to
-  /// itself (no queued competitor, no timeline), the whole remaining burst
-  /// becomes one stepped charge whose quantum boundaries the kernel steps
-  /// silently; otherwise one quantum-bounded charge.
+  /// itself (no queued competitor), the whole remaining burst becomes one
+  /// stepped charge whose quantum boundaries the kernel steps silently;
+  /// otherwise one quantum-bounded charge.
   void plan_op(Process& p);
-  /// Plans the context switch to `p`. When no timeline is attached and the
-  /// op at `p`'s pc is a pure CPU charge at the switch's end, the switch is
-  /// folded into that charge: one stepped entry whose first step is the
-  /// switch's end (switch_end_). Otherwise the switch is its own charge.
+  /// Plans the context switch to `p`. When the op at `p`'s pc is a pure CPU
+  /// charge at the switch's end, the switch is folded into that charge: one
+  /// stepped entry whose first step is the switch's end (switch_end_), a
+  /// kContext charge until the kernel steps past it. Otherwise the switch is
+  /// its own charge.
   void plan_switch(Process& p);
   /// True when the op at p's pc is a pure CPU charge: a Compute or Control
   /// op of positive cost (whose remaining cost it stages, entering the copy
   /// phase), or any op in its copy phase with cost left to pay.
   bool stage_cpu_charge(Process& p);
-  /// Plans a stepped kOp charge of current_ (steps of its quantum).
-  void plan_stepped(sim::SimTime first, sim::SimTime deadline);
+  /// Plans a stepped charge of current_ (steps of its quantum): kOp, or
+  /// kContext for a folded switch.
+  void plan_stepped(ChargeKind kind, sim::SimTime first,
+                    sim::SimTime deadline);
   /// No queued competitor for the CPU: high work, daemon work or a ready
   /// process.
   [[nodiscard]] bool alone() const;
@@ -206,7 +210,9 @@ class Transputer {
   /// `next`: the ones the kernel has already stepped past.
   [[nodiscard]] std::int64_t boundaries_before(sim::SimTime next) const;
   /// Replays each boundary before `next` with every side effect of the
-  /// per-quantum callback at that boundary.
+  /// per-quantum callback at that boundary. A folded switch whose end is
+  /// before `next` is over: its span is recorded and the charge becomes the
+  /// kOp charge behind it.
   void settle_chain(sim::SimTime next);
   void on_charge_done();
   /// Cancels an in-flight daemon charge, accounting the elapsed work.
@@ -225,9 +231,8 @@ class Transputer {
   /// Moves p out of the running state into the back of the ready queue.
   void requeue(Process& p);
   void set_busy(bool b) { busy_tracker_.set_busy(sim_.now(), b); }
-  /// Records the charge that occupied [start, start+dur) as a span.
-  void record_charge(ChargeKind kind, sim::SimTime start, sim::SimTime dur,
-                     double value);
+  /// Records the in-flight charge's stretch [span_started_, end) as a span.
+  void record_span(ChargeKind kind, sim::SimTime end);
 
   sim::Simulation& sim_;
   net::NodeId node_;
@@ -242,7 +247,6 @@ class Transputer {
   obs::NameId name_context_ = 0;
   obs::NameId name_high_ = 0;
   obs::NameId name_daemon_ = 0;
-  obs::NameId name_quantum_ = 0;
   obs::NameId name_exit_ = 0;
 
   // Ring-buffer FIFOs: these queues churn on every dispatch, and a deque
@@ -262,15 +266,19 @@ class Transputer {
   bool pump_scheduled_ = false;
   bool crashed_ = false;
   ChargeKind charge_kind_ = ChargeKind::kNone;
-  /// The in-flight kOp charge is stepped (see plan_op and plan_switch).
+  /// The in-flight charge is stepped (see plan_op and plan_switch).
   bool stepped_ = false;
   /// End of the switch folded in front of the in-flight stepped charge
-  /// (plan_switch); the charge is still in that prefix while its entry's
-  /// pending time equals this.
+  /// (plan_switch); the charge is still in that prefix while it is of kind
+  /// kContext.
   sim::SimTime switch_end_;
   /// Start of the charge; for a stepped charge, of its unsettled part (for
   /// a folded switch, the switch's end).
   sim::SimTime charge_started_;
+  /// Start of the charge's timeline span: settling moves charge_started_
+  /// but not this, so a stepped charge is one span. A folded switch's span
+  /// starts at the dispatch, its op charge's at the switch's end.
+  sim::SimTime span_started_;
 
   sim::BusyTracker busy_tracker_;
   std::uint64_t service_items_ = 0;

@@ -1,13 +1,22 @@
 // Fuzz-style system tests: randomized (but deadlock-free-by-construction)
 // communication DAGs hammered through every policy. These catch scheduler,
 // network and allocator interactions the structured workloads never hit.
+// A second family draws whole machine configurations at random and checks
+// that arming the registry and the timeline changes nothing in the run.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <random>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "core/experiment.h"
 #include "core/machine.h"
+#include "obs/hub.h"
 #include "workload/random_workload.h"
 
 namespace tmc::core {
@@ -74,6 +83,212 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(4, 16),
                        ::testing::Values(1u, 2u, 3u, 4u, 5u)),
     fuzz_name);
+
+// --- Armed/unarmed differential over random configurations ---------------
+
+/// One seeded draw over the feature space: application, policy, topology,
+/// partition size, switching mode and packet size, stealing, faults.
+struct Draw {
+  workload::App app = workload::App::kMatMul;
+  sched::SoftwareArch arch = sched::SoftwareArch::kFixed;
+  sched::PolicyKind policy = sched::PolicyKind::kStatic;
+  net::TopologyKind topology = net::TopologyKind::kMesh;
+  int partition = 4;
+  bool wormhole = false;
+  std::size_t packet = 0;
+  fault::FaultConfig faults{};  // all rates zero: no faults
+};
+
+template <class T, std::size_t N>
+T pick(std::mt19937_64& rng, const T (&options)[N]) {
+  return options[std::uniform_int_distribution<std::size_t>(0, N - 1)(rng)];
+}
+
+Draw draw_config(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  Draw d;
+  d.app = pick(rng, {workload::App::kMatMul, workload::App::kSort});
+  d.policy = pick(rng, {sched::PolicyKind::kStatic,
+                        sched::PolicyKind::kTimeSharing,
+                        sched::PolicyKind::kHybrid,
+                        sched::PolicyKind::kAdaptiveStatic});
+  d.topology = pick(rng, {net::TopologyKind::kLinear, net::TopologyKind::kRing,
+                          net::TopologyKind::kMesh,
+                          net::TopologyKind::kHypercube,
+                          net::TopologyKind::kTorus, net::TopologyKind::kTree});
+  d.partition = pick(rng, {2, 4, 8, 16});
+  d.wormhole = pick(rng, {false, true});
+  // Wormhole switching carries whole messages.
+  if (!d.wormhole) d.packet = pick(rng, {std::size_t{0}, std::size_t{256},
+                                         std::size_t{1024}, std::size_t{4096}});
+  const bool stealing = pick(rng, {false, true});
+  d.arch = stealing ? sched::SoftwareArch::kStealing
+                    : pick(rng, {sched::SoftwareArch::kFixed,
+                                 sched::SoftwareArch::kAdaptive});
+  if (pick(rng, {false, true})) {
+    d.faults.node_rate = pick(rng, {0.0, 0.02, 0.05});
+    d.faults.node_mttr_s = 0.5;
+    d.faults.link_rate = pick(rng, {0.0, 0.02, 0.05});
+    d.faults.link_mttr_s = 0.2;
+    d.faults.drop_prob = pick(rng, {0.001, 0.01});
+    d.faults.seed = seed;
+  }
+  return d;
+}
+
+core::ExperimentConfig experiment_config(const Draw& d) {
+  // tmc_cli's assembly, so that flag_line() reproduces the run.
+  auto config = core::figure_point(d.app, d.arch, d.policy, d.partition,
+                                   d.topology);
+  config.machine.wormhole = d.wormhole;
+  config.machine.network.packet_bytes = d.packet;
+  if (d.arch == sched::SoftwareArch::kStealing) {
+    config.machine.stealing.steal_rate = 10000.0;
+  }
+  config.machine.faults = d.faults;
+  return config;
+}
+
+std::string print(const char* format, double x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, format, x);
+  return buf;
+}
+
+/// The tmc_cli command line that runs the draw, plain and armed.
+std::string flag_line(const Draw& d) {
+  static constexpr const char* kPolicies[] = {"static", "ts", "hybrid",
+                                              "adaptive"};
+  static constexpr const char* kArchs[] = {"fixed", "adaptive", "stealing"};
+  static constexpr const char* kTopologies[] = {"linear", "ring",  "mesh",
+                                                "hypercube", "torus", "tree"};
+  std::string line = "tmc_cli --app ";
+  line += d.app == workload::App::kMatMul ? "matmul" : "sort";
+  line += std::string(" --arch ") + kArchs[static_cast<int>(d.arch)];
+  line += std::string(" --policy ") + kPolicies[static_cast<int>(d.policy)];
+  line += " --partition " + std::to_string(d.partition);
+  line += std::string(" --topology ") +
+          kTopologies[static_cast<int>(d.topology)];
+  if (d.wormhole) line += " --wormhole";
+  if (d.packet != 0) line += " --packet " + std::to_string(d.packet);
+  line += " --order interleaved [--metrics=m.json --timeline=t.json]";
+  if (d.faults.enabled()) {
+    // tmc_cli rejects the fault family; these are the MachineConfig::faults
+    // values, spelled as the figure benches' flags.
+    line += " faults: --fault-rate " + print("%g", d.faults.node_rate) +
+            " --fault-mttr " + print("%g", d.faults.node_mttr_s) +
+            " --fault-link-rate " + print("%g", d.faults.link_rate) +
+            " --fault-link-mttr " + print("%g", d.faults.link_mttr_s) +
+            " --fault-drop " + print("%g", d.faults.drop_prob) +
+            " --fault-seed " + std::to_string(d.faults.seed);
+  }
+  return line;
+}
+
+/// Every MachineStats field, named, as an exact decimal string.
+std::vector<std::pair<std::string, std::string>> stat_fields(
+    const MachineStats& s) {
+  const auto exact = [](double x) { return print("%.17g", x); };
+  const auto n = [](auto x) { return std::to_string(x); };
+  return {
+      {"events", n(s.events)},
+      {"quantum_steps", n(s.quantum_steps)},
+      {"scheduled_events", n(s.scheduled_events)},
+      {"peak_pending_events", n(s.peak_pending_events)},
+      {"messages", n(s.messages)},
+      {"self_sends", n(s.self_sends)},
+      {"total_hops", n(s.total_hops)},
+      {"avg_cpu_utilization", exact(s.avg_cpu_utilization)},
+      {"max_link_utilization", exact(s.max_link_utilization)},
+      {"peak_node_memory", n(s.peak_node_memory)},
+      {"mem_blocked_requests", n(s.mem_blocked_requests)},
+      {"mem_block_time", n(s.mem_block_time.ns())},
+      {"context_switches", n(s.context_switches)},
+      {"high_preemptions", n(s.high_preemptions)},
+      {"quantum_expiries", n(s.quantum_expiries)},
+      {"faults.crashes", n(s.faults.crashes)},
+      {"faults.repairs", n(s.faults.repairs)},
+      {"faults.link_downs", n(s.faults.link_downs)},
+      {"faults.link_ups", n(s.faults.link_ups)},
+      {"faults.drops", n(s.faults.drops)},
+      {"faults.retries", n(s.faults.retries)},
+      {"faults.messages_lost", n(s.faults.messages_lost)},
+      {"faults.job_restarts", n(s.faults.job_restarts)},
+      {"faults.jobs_failed", n(s.faults.jobs_failed)},
+      {"faults.mtbf_observed_s", exact(s.faults.mtbf_observed_s)},
+      {"faults.mttr_observed_s", exact(s.faults.mttr_observed_s)},
+      {"steals.requests", n(s.steals.requests)},
+      {"steals.grants", n(s.steals.grants)},
+      {"steals.denials", n(s.steals.denials)},
+      {"steals.tasks_migrated", n(s.steals.tasks_migrated)},
+      {"steals.bytes_migrated", n(s.steals.bytes_migrated)},
+  };
+}
+
+class ArmedDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ArmedDifferential, ArmedRunMatchesPlain) {
+  const Draw draw = draw_config(GetParam());
+  SCOPED_TRACE("reproduce with: " + flag_line(draw));
+  const core::ExperimentConfig config = experiment_config(draw);
+  const core::RunResult plain =
+      core::run_batch(config, workload::BatchOrder::kInterleaved);
+
+  obs::Options options;
+  options.metrics = true;
+  options.timeline_path = "unused.json";  // presence arms the timeline
+  obs::Hub hub(options);
+  core::ExperimentConfig armed_config = config;
+  armed_config.machine.obs = &hub;
+  const core::RunResult armed =
+      core::run_batch(armed_config, workload::BatchOrder::kInterleaved);
+  ASSERT_NE(hub.timeline(), nullptr);
+  EXPECT_FALSE(hub.timeline()->records().empty());
+
+  const auto a = stat_fields(plain.machine);
+  const auto b = stat_fields(armed.machine);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].second, b[i].second) << a[i].first;
+  }
+  EXPECT_EQ(plain.makespan_s, armed.makespan_s);
+  ASSERT_EQ(plain.jobs.size(), armed.jobs.size());
+  for (std::size_t i = 0; i < plain.jobs.size(); ++i) {
+    EXPECT_EQ(plain.jobs[i].id, armed.jobs[i].id);
+    EXPECT_EQ(plain.jobs[i].response_s, armed.jobs[i].response_s)
+        << "job " << plain.jobs[i].id;
+    EXPECT_EQ(plain.jobs[i].wait_s, armed.jobs[i].wait_s)
+        << "job " << plain.jobs[i].id;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Draws, ArmedDifferential, ::testing::Range<std::uint64_t>(1, 33),
+    [](const ::testing::TestParamInfo<std::uint64_t>& info) {
+      return "seed" + std::to_string(info.param);
+    });
+
+TEST(ArmedDifferential, DrawsCoverTheFeatureSpace) {
+  // The 32 draws above reach every policy and topology, both switching
+  // modes, packets, stealing and faults.
+  std::vector<int> policies(4), topologies(6);
+  int wormhole = 0, packets = 0, stealing = 0, faults = 0;
+  for (std::uint64_t seed = 1; seed < 33; ++seed) {
+    const Draw d = draw_config(seed);
+    ++policies[static_cast<int>(d.policy)];
+    ++topologies[static_cast<int>(d.topology)];
+    wormhole += d.wormhole ? 1 : 0;
+    packets += d.packet != 0 ? 1 : 0;
+    stealing += d.arch == sched::SoftwareArch::kStealing ? 1 : 0;
+    faults += d.faults.enabled() ? 1 : 0;
+  }
+  for (int n : policies) EXPECT_GT(n, 0);
+  for (int n : topologies) EXPECT_GT(n, 0);
+  EXPECT_GT(wormhole, 0);
+  EXPECT_GT(packets, 0);
+  EXPECT_GT(stealing, 0);
+  EXPECT_GT(faults, 0);
+}
 
 TEST(RandomWorkload, StructureIsDeterministicPerSeed) {
   workload::RandomWorkloadParams params;

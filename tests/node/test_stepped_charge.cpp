@@ -3,24 +3,31 @@
 // A process alone on its CPU runs a whole burst as one stepped kernel entry
 // whose quantum boundaries pass silently (Transputer::plan_op), and a
 // context switch into a CPU charge is folded into the charge behind it as
-// its first silent step (Transputer::plan_switch). A CPU with a timeline
-// attached keeps one event per switch and per quantum, so it is the
-// reference: every scenario below runs on a plain CPU and on an armed one,
-// and the two must agree on every counter, every completion instant and
-// the order of the daemon's slices. Each interaction with the running burst
-// lands strictly inside a quantum, and exactly on a boundary both before
-// and after the kernel's step at that instant; each interaction with a
-// folded switch lands inside it, at its end on both sides of its step, and
-// inside the first quantum after it.
+// its first silent step (Transputer::plan_switch). The reference is
+// EagerTransputer (eager_transputer.h), which keeps one event per switch
+// and per quantum. Every scenario below runs three times: on the
+// reference, and on the production CPU plain and with a timeline attached.
+// The plain CPU must agree with the reference on every counter, every
+// completion instant and the order of the daemon's slices. The armed CPU
+// must run exactly as the plain one, and its spans, summed per name and
+// process, must equal the reference's. Each interaction with the running
+// burst lands strictly inside a quantum, and exactly on a boundary both
+// before and after the kernel's step at that instant; each interaction
+// with a folded switch lands inside it, at its end on both sides of its
+// step, and inside the first quantum after it.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "eager_transputer.h"
 #include "mem/mmu.h"
 #include "net/message.h"
 #include "node/transputer.h"
@@ -44,6 +51,7 @@ constexpr SimTime kBoundary = kAloneFrom + 2 * kQuantum;
 
 /// One CPU, plain or armed with a timeline, plus a log of everything the
 /// scenario observes.
+template <class Cpu>
 struct Rig {
   explicit Rig(bool armed) : mmu(sim, 64 * 1024), cpu(sim, 0, mmu) {
     if (armed) {
@@ -80,9 +88,28 @@ struct Rig {
   sim::Simulation sim;
   mem::Mmu mmu;
   obs::Timeline timeline;
-  Transputer cpu;
+  Cpu cpu;
   std::vector<std::unique_ptr<Process>> procs;
   std::vector<std::string> log;
+};
+
+using Reference = Rig<EagerTransputer>;
+using Production = Rig<Transputer>;
+
+/// A scenario's three runs: the per-quantum reference (armed, so that its
+/// spans can be compared), and the production CPU plain and armed.
+struct Legs {
+  Reference reference{true};
+  Production plain{false};
+  Production armed{true};
+
+  /// Runs `scenario` (a generic callable taking a Rig) on every leg.
+  template <class Scenario>
+  void run(Scenario scenario) {
+    scenario(reference);
+    scenario(plain);
+    scenario(armed);
+  }
 };
 
 enum class Timing { kInside, kBeforeStep, kAfterStep };
@@ -90,7 +117,8 @@ enum class Timing { kInside, kBeforeStep, kAfterStep };
 /// Runs `action` strictly inside the third quantum, or at kBoundary with a
 /// sequence number below (scheduled at t=0) or above (scheduled after the
 /// previous boundary) the kernel's step at that instant.
-void at(Rig& r, Timing timing, std::function<void()> action) {
+template <class Cpu>
+void at(Rig<Cpu>& r, Timing timing, std::function<void()> action) {
   switch (timing) {
     case Timing::kInside:
       r.sim.schedule_at(kBoundary + kQuantum / 4, std::move(action));
@@ -119,7 +147,8 @@ enum class Path {
 
 /// The one interaction `path` makes with process 1 (process 2 is the
 /// competitor it may bring in).
-std::function<void()> interaction(Rig& r, Path path, Process& p1,
+template <class Cpu>
+std::function<void()> interaction(Rig<Cpu>& r, Path path, Process& p1,
                                   Process& p2) {
   switch (path) {
     case Path::kMakeReady:
@@ -172,7 +201,8 @@ std::function<void()> interaction(Rig& r, Path path, Process& p1,
 
 /// Process 1 computes 20 ms, first behind one daemon item, then alone;
 /// `path` interacts with it once, at `timing`.
-void scenario(Rig& r, Path path, Timing timing) {
+template <class Cpu>
+void scenario(Rig<Cpu>& r, Path path, Timing timing) {
   Process& p1 = r.spawn(1, SimTime::milliseconds(20));
   Process& p2 = r.spawn(2, SimTime::milliseconds(3));
   r.cpu.make_ready(p1);
@@ -192,9 +222,11 @@ struct Outcome {
   std::int64_t busy_ns = 0;
   std::uint64_t scheduled = 0;
   std::uint64_t events = 0;  // fired + silent steps
+  std::int64_t end_ns = 0;
 };
 
-Outcome outcome(const Rig& r) {
+template <class Cpu>
+Outcome outcome(const Rig<Cpu>& r) {
   Outcome o;
   o.log = r.log;
   for (const auto& p : r.procs) {
@@ -208,7 +240,67 @@ Outcome outcome(const Rig& r) {
   o.busy_ns = r.cpu.busy_time().ns();
   o.scheduled = r.sim.scheduled_events();
   o.events = r.sim.fired_events() + r.sim.steps_taken();
+  o.end_ns = r.sim.now().ns();
   return o;
+}
+
+void expect_same(const Outcome& a, const Outcome& b) {
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_EQ(a.cpu_ns, b.cpu_ns);
+  EXPECT_EQ(a.preemptions, b.preemptions);
+  EXPECT_EQ(a.dispatches, b.dispatches);
+  EXPECT_EQ(a.quantum_expiries, b.quantum_expiries);
+  EXPECT_EQ(a.context_switches, b.context_switches);
+  EXPECT_EQ(a.high_preemptions, b.high_preemptions);
+  EXPECT_EQ(a.busy_ns, b.busy_ns);
+  EXPECT_EQ(a.scheduled, b.scheduled);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.end_ns, b.end_ns);
+}
+
+/// Span durations summed per (name, value); the value of a compute or
+/// ctx-switch span is the process id.
+std::map<std::pair<std::string, std::int64_t>, std::int64_t> span_sums(
+    const obs::Timeline& timeline) {
+  std::map<std::pair<std::string, std::int64_t>, std::int64_t> sums;
+  for (const auto& rec : timeline.records()) {
+    if (rec.kind != obs::RecordKind::kSpan) continue;
+    sums[{std::string(timeline.name(rec.name)),
+          static_cast<std::int64_t>(rec.value)}] += rec.dur_ns;
+  }
+  return sums;
+}
+
+std::int64_t count_records(const obs::Timeline& timeline, obs::RecordKind kind,
+                           std::string_view name) {
+  std::int64_t n = 0;
+  for (const auto& rec : timeline.records()) {
+    n += rec.kind == kind && timeline.name(rec.name) == name ? 1 : 0;
+  }
+  return n;
+}
+
+/// The plain CPU's run agrees with the per-quantum reference's in every
+/// respect; the armed CPU's run is the plain one's, event for event, and
+/// its spans add up as the reference's do.
+void expect_twins(const Legs& legs) {
+  const Outcome plain = outcome(legs.plain);
+  expect_same(plain, outcome(legs.reference));
+  expect_same(outcome(legs.armed), plain);
+  EXPECT_EQ(legs.armed.sim.fired_events(), legs.plain.sim.fired_events());
+  EXPECT_EQ(legs.armed.sim.steps_taken(), legs.plain.sim.steps_taken());
+  EXPECT_EQ(legs.reference.sim.steps_taken(), 0u);
+
+  const auto sums = span_sums(legs.armed.timeline);
+  EXPECT_EQ(sums, span_sums(legs.reference.timeline));
+  for (const auto& p : legs.armed.procs) {
+    const auto it = sums.find({"compute", p->id()});
+    EXPECT_EQ(it == sums.end() ? 0 : it->second, p->cpu_time().ns())
+        << "compute spans of process " << p->id();
+  }
+  EXPECT_EQ(count_records(legs.armed.timeline, obs::RecordKind::kInstant,
+                          "quantum-expiry"),
+            0);
 }
 
 class SteppedChargeTwin
@@ -225,34 +317,16 @@ std::string twin_name(
          "_" + kTimings[static_cast<int>(std::get<1>(info.param))];
 }
 
-/// The plain CPU's run agrees with the armed reference's in every respect.
-void expect_same(const Rig& plain, const Rig& armed) {
-  const Outcome a = outcome(plain);
-  const Outcome b = outcome(armed);
-  EXPECT_EQ(a.log, b.log);
-  EXPECT_EQ(a.cpu_ns, b.cpu_ns);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.dispatches, b.dispatches);
-  EXPECT_EQ(a.quantum_expiries, b.quantum_expiries);
-  EXPECT_EQ(a.context_switches, b.context_switches);
-  EXPECT_EQ(a.high_preemptions, b.high_preemptions);
-  EXPECT_EQ(a.busy_ns, b.busy_ns);
-  EXPECT_EQ(a.scheduled, b.scheduled);
-  EXPECT_EQ(a.events, b.events);
-  EXPECT_EQ(plain.sim.now(), armed.sim.now());
-}
-
 TEST_P(SteppedChargeTwin, PlainMatchesPerQuantumReference) {
   const auto [path, timing] = GetParam();
-  Rig plain(false);
-  Rig armed(true);
-  scenario(plain, path, timing);
-  scenario(armed, path, timing);
+  Legs legs;
+  legs.run([path = path, timing = timing](auto& r) {
+    scenario(r, path, timing);
+  });
 
-  // The plain CPU really did skip boundaries; the armed one never does.
-  EXPECT_GT(plain.sim.steps_taken(), 0u);
-  EXPECT_EQ(armed.sim.steps_taken(), 0u);
-  expect_same(plain, armed);
+  // The production CPU really did skip boundaries.
+  EXPECT_GT(legs.plain.sim.steps_taken(), 0u);
+  expect_twins(legs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -276,7 +350,8 @@ enum class SwitchTiming {
 /// at its end with a sequence number below (scheduled at t=0, before the
 /// dispatch draws the switch's) or above (scheduled mid-switch) the
 /// kernel's step there, or strictly inside the first quantum after it.
-void at_switch(Rig& r, SwitchTiming timing, std::function<void()> action) {
+template <class Cpu>
+void at_switch(Rig<Cpu>& r, SwitchTiming timing, std::function<void()> action) {
   switch (timing) {
     case SwitchTiming::kInside:
       r.sim.schedule_at(kCtx / 2, std::move(action));
@@ -302,7 +377,9 @@ enum class Shape { kAlone, kShared };
 
 /// Process 1 computes 20 ms from the run's first switch; `path` interacts
 /// with it once, at `timing`.
-void switch_scenario(Rig& r, Path path, SwitchTiming timing, Shape shape) {
+template <class Cpu>
+void switch_scenario(Rig<Cpu>& r, Path path, SwitchTiming timing,
+                     Shape shape) {
   Process& p1 = r.spawn(1, SimTime::milliseconds(20));
   Process& p2 = r.spawn(2, SimTime::milliseconds(3));
   r.cpu.make_ready(p1);
@@ -331,19 +408,18 @@ std::string folded_name(
 
 TEST_P(FoldedSwitchTwin, PlainMatchesPerSwitchReference) {
   const auto [path, timing, shape] = GetParam();
-  Rig plain(false);
-  Rig armed(true);
-  switch_scenario(plain, path, timing, shape);
-  switch_scenario(armed, path, timing, shape);
+  Legs legs;
+  legs.run([path = path, timing = timing, shape = shape](auto& r) {
+    switch_scenario(r, path, timing, shape);
+  });
 
-  // The plain CPU steps silently unless an abort before the switch's step
-  // leaves it nothing to run; the armed one never does.
+  // The production CPU steps silently unless an abort before the switch's
+  // step leaves it nothing to run.
   const bool aborted_in_switch = path == Path::kAbortAccounting &&
                                  (timing == SwitchTiming::kInside ||
                                   timing == SwitchTiming::kEndBeforeStep);
-  EXPECT_EQ(plain.sim.steps_taken() > 0, !aborted_in_switch);
-  EXPECT_EQ(armed.sim.steps_taken(), 0u);
-  expect_same(plain, armed);
+  EXPECT_EQ(legs.plain.sim.steps_taken() > 0, !aborted_in_switch);
+  expect_twins(legs);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -368,7 +444,8 @@ enum class Unfolded {
 };
 
 /// Process 1 is switched in to run one op of that kind, then exits.
-void unfolded_scenario(Rig& r, Unfolded op) {
+template <class Cpu>
+void unfolded_scenario(Rig<Cpu>& r, Unfolded op) {
   r.cpu.set_send_dispatcher(
       [&r](Process& p, const SendOp& send, mem::Block /*buffer*/) {
         r.note("sent " + std::to_string(send.bytes) + " from " +
@@ -407,16 +484,15 @@ void unfolded_scenario(Rig& r, Unfolded op) {
 class UnfoldedSwitchTwin : public ::testing::TestWithParam<Unfolded> {};
 
 TEST_P(UnfoldedSwitchTwin, SwitchKeepsItsOwnEvent) {
-  Rig plain(false);
-  Rig armed(true);
-  unfolded_scenario(plain, GetParam());
-  unfolded_scenario(armed, GetParam());
+  Legs legs;
+  legs.run([op = GetParam()](auto& r) { unfolded_scenario(r, op); });
 
+  const Production& plain = legs.plain;
   EXPECT_EQ(plain.cpu.context_switches(), 1u);
   EXPECT_EQ(plain.sim.steps_taken(), 0u);
   ASSERT_FALSE(plain.log.empty());
   EXPECT_EQ(plain.log.back().substr(plain.log.back().find(' ')), " exit 1");
-  expect_same(plain, armed);
+  expect_twins(legs);
 }
 
 std::string unfolded_name(const ::testing::TestParamInfo<Unfolded>& info) {
@@ -436,14 +512,14 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SteppedCharge, BoundariesLandWhereTheScenariosExpect) {
   // The reference CPU's quantum-expiry instants pin the timing constants
   // the twin scenarios aim at.
-  Rig armed(true);
-  Process& p1 = armed.spawn(1, SimTime::milliseconds(20));
-  armed.cpu.make_ready(p1);
-  armed.service(0, kFirstSlice);
-  armed.sim.run();
+  Reference reference(true);
+  Process& p1 = reference.spawn(1, SimTime::milliseconds(20));
+  reference.cpu.make_ready(p1);
+  reference.service(0, kFirstSlice);
+  reference.sim.run();
   std::vector<std::int64_t> expiries;
-  const obs::NameId name = armed.timeline.intern("quantum-expiry");
-  for (const auto& rec : armed.timeline.records()) {
+  const obs::NameId name = reference.timeline.intern("quantum-expiry");
+  for (const auto& rec : reference.timeline.records()) {
     if (rec.kind == obs::RecordKind::kInstant && rec.name == name) {
       expiries.push_back(rec.start_ns);
     }
@@ -455,7 +531,7 @@ TEST(SteppedCharge, BoundariesLandWhereTheScenariosExpect) {
 }
 
 TEST(SteppedCharge, AloneBurstFiresOnceAndCountsEveryBoundary) {
-  Rig plain(false);
+  Production plain(false);
   Process& p1 = plain.spawn(1, SimTime::milliseconds(20));
   plain.cpu.make_ready(p1);
   plain.sim.run();
@@ -465,27 +541,52 @@ TEST(SteppedCharge, AloneBurstFiresOnceAndCountsEveryBoundary) {
   EXPECT_EQ(plain.cpu.quantum_expiries(), 9u);
   EXPECT_EQ(p1.cpu_time(), SimTime::milliseconds(20));
   // Fired events plus steps are the per-quantum reference's events.
-  Rig armed(true);
-  armed.cpu.make_ready(armed.spawn(1, SimTime::milliseconds(20)));
-  armed.sim.run();
+  Reference reference(false);
+  reference.cpu.make_ready(reference.spawn(1, SimTime::milliseconds(20)));
+  reference.sim.run();
   EXPECT_EQ(plain.sim.fired_events() + plain.sim.steps_taken(),
-            armed.sim.fired_events());
+            reference.sim.fired_events());
+}
+
+TEST(SteppedCharge, ArmedAloneBurstIsOneSwitchAndOneComputeSpan) {
+  // Where the reference records a switch, ten compute spans and nine
+  // quantum-expiry instants, the armed CPU records one span per stretch.
+  Production armed(true);
+  Process& p1 = armed.spawn(1, SimTime::milliseconds(20));
+  armed.cpu.make_ready(p1);
+  armed.sim.run();
+  EXPECT_EQ(armed.sim.steps_taken(), 10u);
+  const auto& records = armed.timeline.records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(armed.timeline.name(records[0].name), "ctx-switch");
+  EXPECT_EQ(records[0].start_ns, 0);
+  EXPECT_EQ(records[0].dur_ns, kCtx.ns());
+  EXPECT_EQ(armed.timeline.name(records[1].name), "compute");
+  EXPECT_EQ(records[1].start_ns, kCtx.ns());
+  EXPECT_EQ(records[1].dur_ns, SimTime::milliseconds(20).ns());
+  EXPECT_EQ(records[1].value, 1.0);
+  EXPECT_EQ(armed.timeline.name(records[2].name), "exit");
 }
 
 TEST(SteppedCharge, ExpiriesCountUnsettledStepsMidBurst) {
-  Rig plain(false);
-  Process& p1 = plain.spawn(1, SimTime::milliseconds(20));
-  plain.cpu.make_ready(p1);
-  plain.sim.run_until(kCtx + 3 * kQuantum + kQuantum / 2);
-  EXPECT_EQ(plain.cpu.quantum_expiries(), 3u);
-  // Settling is accounting only: nothing about the run changes.
+  Production armed(true);
+  Process& p1 = armed.spawn(1, SimTime::milliseconds(20));
+  armed.cpu.make_ready(p1);
+  armed.sim.run_until(kCtx + 3 * kQuantum + kQuantum / 2);
+  EXPECT_EQ(armed.cpu.quantum_expiries(), 3u);
+  // Settling is accounting only: nothing about the run changes, and the
+  // burst is still recorded as one compute span when it ends.
   EXPECT_EQ(p1.cpu_time(), SimTime::zero());
-  plain.cpu.settle();
+  armed.cpu.settle();
   EXPECT_EQ(p1.cpu_time(), 3 * kQuantum);
-  EXPECT_EQ(plain.cpu.quantum_expiries(), 3u);
-  plain.sim.run();
+  EXPECT_EQ(armed.cpu.quantum_expiries(), 3u);
+  armed.sim.run();
   EXPECT_EQ(p1.cpu_time(), SimTime::milliseconds(20));
-  EXPECT_EQ(plain.cpu.quantum_expiries(), 9u);
+  EXPECT_EQ(armed.cpu.quantum_expiries(), 9u);
+  EXPECT_EQ(count_records(armed.timeline, obs::RecordKind::kSpan, "compute"),
+            1);
+  const auto sums = span_sums(armed.timeline);
+  EXPECT_EQ(sums.at({"compute", 1}), SimTime::milliseconds(20).ns());
 }
 
 }  // namespace

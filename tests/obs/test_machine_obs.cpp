@@ -43,9 +43,9 @@ bool has_metric(const std::vector<obs::Registry::View>& views,
                      [&name](const auto& v) { return v.name == name; });
 }
 
-/// Runs `config` plain and with every instrument armed. An armed timeline
-/// keeps one event per quantum where a plain CPU steps a lone process's
-/// quantum boundaries silently, so events compare as events + quantum_steps.
+/// Runs `config` plain and with every instrument armed. Instruments only
+/// record, so the armed run fires, steps and schedules exactly the plain
+/// run's events.
 struct InertPair {
   RunResult plain;
   RunResult observed;
@@ -62,13 +62,14 @@ InertPair expect_inert(const ExperimentConfig& config, obs::Hub& hub) {
   const RunResult& observed = runs.observed;
 
   // Byte-level determinism claim: same events, same clock, same responses.
-  EXPECT_EQ(plain.machine.events + plain.machine.quantum_steps,
-            observed.machine.events + observed.machine.quantum_steps);
+  EXPECT_EQ(plain.machine.events, observed.machine.events);
+  EXPECT_EQ(plain.machine.quantum_steps, observed.machine.quantum_steps);
+  EXPECT_EQ(plain.machine.scheduled_events,
+            observed.machine.scheduled_events);
   EXPECT_EQ(plain.machine.messages, observed.machine.messages);
   EXPECT_EQ(plain.machine.context_switches, observed.machine.context_switches);
   EXPECT_EQ(plain.machine.quantum_expiries, observed.machine.quantum_expiries);
   EXPECT_DOUBLE_EQ(plain.makespan_s, observed.makespan_s);
-  EXPECT_EQ(observed.machine.quantum_steps, 0u);  // the reference path
   EXPECT_EQ(plain.jobs.size(), observed.jobs.size());
   for (std::size_t i = 0;
        i < std::min(plain.jobs.size(), observed.jobs.size()); ++i) {
@@ -91,8 +92,8 @@ TEST(MachineObs, FullInstrumentationIsInert) {
 }
 
 TEST(MachineObs, FullInstrumentationIsInertWhenProcessesRunAlone) {
-  // Space sharing runs one process per node, so a plain run steps its
-  // quantum boundaries silently; the armed run fires every one of them.
+  // Space sharing runs one process per node, so both runs step their
+  // quantum boundaries silently.
   auto config = figure_point(workload::App::kMatMul,
                              sched::SoftwareArch::kFixed,
                              sched::PolicyKind::kStatic, 4,

@@ -12,7 +12,8 @@ contracts consumers actually rely on:
   timeline JSON (--timeline=out.json)
       Chrome trace_event object form loadable by Perfetto: process/thread
       metadata first, every event one of M/X/i/C/b/e/s/f with the fields
-      that phase requires, spans with non-negative durations, and -- the
+      that phase requires, spans with non-negative durations that never
+      overlap on a node track (a CPU runs one charge at a time), and -- the
       point of the exercise -- per-node tracks plus at least one
       utilization counter. Chunked output (--timeline-chunk) is
       byte-identical to buffered, so the same checker covers both.
@@ -133,6 +134,9 @@ def check_timeline(path: str, flows: bool = False) -> None:
     steal_denies = 0
     fault_instants = 0
     fault_state: dict[tuple, str] = {}
+    node_tracks: set[tuple] = set()
+    # (start, end) of every span per (pid, tid), in integer nanoseconds.
+    track_spans: dict[tuple, list[tuple[int, int]]] = {}
     for e in events:
         ph = e.get("ph")
         require(is_finite_number(e.get("pid")), path, f"event without pid: {e}")
@@ -145,6 +149,7 @@ def check_timeline(path: str, flows: bool = False) -> None:
             elif e.get("name") == "thread_name":
                 if name.startswith("node"):
                     node_threads += 1
+                    node_tracks.add((e["pid"], e.get("tid")))
                 elif name.startswith("link"):
                     link_threads += 1
                 elif name.startswith("class:") or name == "jobs":
@@ -154,6 +159,9 @@ def check_timeline(path: str, flows: bool = False) -> None:
             require(is_finite_number(e.get("dur")) and e["dur"] >= 0, path,
                     f"span with bad dur: {e}")
             spans += 1
+            start = round(e["ts"] * 1000)
+            track_spans.setdefault((e["pid"], e.get("tid")), []).append(
+                (start, start + round(e["dur"] * 1000)))
         elif ph == "C":
             require(is_finite_number(e.get("ts")), path,
                     f"counter without ts: {e}")
@@ -244,6 +252,18 @@ def check_timeline(path: str, flows: bool = False) -> None:
             f"no 'nodes' process track (saw {sorted(processes)})")
     require(node_threads > 0, path, "no per-node thread metadata")
     require(spans > 0, path, "no complete ('X') spans -- CPU tracks empty")
+    # A CPU runs one charge at a time, so the spans of a node track tile it
+    # without overlapping. Times are microseconds printed to the nanosecond,
+    # so a printed start and duration may each be off by half a nanosecond:
+    # allow 1 ns.
+    for track in node_tracks:
+        busy_until = None
+        for start, end in sorted(track_spans.get(track, [])):
+            if busy_until is not None and start < busy_until - 1:
+                fail(path, f"span at ts {start / 1000} us overlaps an "
+                           f"earlier span on node track (pid, tid) {track}, "
+                           f"which runs until {busy_until / 1000} us")
+            busy_until = end if busy_until is None else max(busy_until, end)
     # Single-node machines legitimately have no links; everyone else must
     # export a per-link utilization series.
     if link_threads > 0:
