@@ -5,8 +5,11 @@
 // --steal-* knobs require it and the rate defaults to 10000/s there
 // (--steal-rate 0 builds no engine and falls back to the fixed scripts).
 // --order runs one batch in the given order instead of the policy's
-// best/worst-order experiment. Invalid machine configurations (a partition
-// size that does not divide the machine, zero memory) exit 2.
+// best/worst-order experiment. The --fault-* knobs inject node crashes,
+// link outages and message drops (DESIGN.md §10). Invalid machine
+// configurations (a partition size that does not divide the machine, zero
+// memory) exit 2; a run whose machine watchdog expires (e.g. a fault rate
+// that leaves too few nodes alive) exits 3.
 //
 // Examples:
 //   tmc_cli --app sort --arch fixed --policy static --partition 8 --topology ring
@@ -44,9 +47,8 @@ int run_cli(int argc, char** argv) {
 
   core::ExperimentConfig config;
   obs::Options obs_options;
-  fault::FaultConfig unwired_faults;
   cli::Table flags("tmc_cli", {cli::Family::kThreads, cli::Family::kObs,
-                              cli::Family::kSteal});
+                              cli::Family::kFault, cli::Family::kSteal});
   flags
       .add({
           cli::choice("--app", app,
@@ -101,7 +103,7 @@ int run_cli(int argc, char** argv) {
           cli::threads(threads),
       })
       .add(obs::cli_flags(obs_options))
-      .add(fault::cli_flags(unwired_faults))
+      .add(fault::cli_flags(config.machine.faults))
       .add(sched::stealing::cli_flags(config.machine.stealing))
       .parse_or_exit(argc, argv);
   if (flags.was_set("--quantum")) {
@@ -190,5 +192,8 @@ int main(int argc, char** argv) {
   } catch (const std::invalid_argument& e) {
     std::cerr << "tmc_cli: " << e.what() << "\n";
     return 2;
+  } catch (const std::runtime_error& e) {
+    std::cerr << "tmc_cli: " << e.what() << "\n";
+    return 3;
   }
 }

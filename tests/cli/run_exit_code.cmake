@@ -1,10 +1,10 @@
 # Exit-code check for a binary's flag handling, invoked by ctest:
 #
 #   cmake -DBIN=<binary> "-DARGS=--flag value" -DEXPECT=<code>
-#         [-DSTDERR=<regex>] -P run_exit_code.cmake
+#         [-DSTDERR=<regex>] [-DSTDOUT=<regex>] -P run_exit_code.cmake
 #
-# Fails unless the binary exits with exactly EXPECT and, when STDERR is
-# non-empty, its stderr matches that regex. A process killed by a signal
+# Fails unless the binary exits with exactly EXPECT and, when STDERR or
+# STDOUT is non-empty, that stream matches the regex. A process killed by a signal
 # reports a string such as "Child aborted", never a number, so an abort or
 # a crash cannot pass where WILL_FAIL would have let it.
 foreach(var BIN EXPECT)
@@ -33,4 +33,9 @@ if(NOT "${STDERR}" STREQUAL "" AND NOT err MATCHES "${STDERR}")
   message(FATAL_ERROR
     "${BIN} ${ARGS}: stderr does not match '${STDERR}'\n"
     "stderr:\n${err}")
+endif()
+if(NOT "${STDOUT}" STREQUAL "" AND NOT out MATCHES "${STDOUT}")
+  message(FATAL_ERROR
+    "${BIN} ${ARGS}: stdout does not match '${STDOUT}'\n"
+    "stdout:\n${out}")
 endif()

@@ -121,5 +121,54 @@ TEST(Machine, CustomProcessorCount) {
   EXPECT_EQ(machine.partition_count(), 4);
 }
 
+/// A figure point's kernel and CPU counts under per-quantum charging: every
+/// quantum end between two processes fired its own event.
+struct RotationPoint {
+  workload::App app;
+  sched::PolicyKind policy;
+  int partition;
+  net::TopologyKind topology;
+  std::uint64_t scheduled;  // scheduled_events
+  std::uint64_t eager;      // events + quantum_steps
+  std::uint64_t switches;
+  std::uint64_t expiries;
+  std::uint64_t events;  // fired events under per-quantum rotation
+};
+
+TEST(Machine, RotationsKeepEveryCountButFiredEvents) {
+  // `tmc_cli --arch fixed --order interleaved` at these points, measured
+  // before rotations became stepped entries. A CPU's rotation of
+  // compute-bound processes now steps its quantum ends and switches
+  // silently: the same sequence numbers are drawn at the same moments, so
+  // only fired events fall and steps rise by as many. The p=16 TS point
+  // has no quantum expiry at all (its quantum outlasts every burst), so
+  // its events stay.
+  const RotationPoint points[] = {
+      {workload::App::kSort, sched::PolicyKind::kStatic, 1,
+       net::TopologyKind::kLinear, 44'424, 44'424, 20'448, 19'080, 25'144},
+      {workload::App::kMatMul, sched::PolicyKind::kHybrid, 2,
+       net::TopologyKind::kMesh, 13'108, 12'698, 4'276, 2'718, 9'396},
+      {workload::App::kSort, sched::PolicyKind::kTimeSharing, 16,
+       net::TopologyKind::kMesh, 11'758, 10'929, 1'192, 0, 10'123},
+  };
+  for (const RotationPoint& point : points) {
+    const ExperimentConfig config =
+        figure_point(point.app, sched::SoftwareArch::kFixed, point.policy,
+                     point.partition, point.topology);
+    SCOPED_TRACE(config.name);
+    const MachineStats s =
+        run_batch(config, workload::BatchOrder::kInterleaved).machine;
+    EXPECT_EQ(s.scheduled_events, point.scheduled);
+    EXPECT_EQ(s.events + s.quantum_steps, point.eager);
+    EXPECT_EQ(s.context_switches, point.switches);
+    EXPECT_EQ(s.quantum_expiries, point.expiries);
+    if (point.expiries > 0) {
+      EXPECT_LT(s.events, point.events);
+    } else {
+      EXPECT_EQ(s.events, point.events);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tmc::core

@@ -16,6 +16,7 @@
 
 #include "core/experiment.h"
 #include "core/machine.h"
+#include "core/report.h"
 #include "obs/hub.h"
 #include "workload/random_workload.h"
 
@@ -171,18 +172,16 @@ std::string flag_line(const Draw& d) {
           kTopologies[static_cast<int>(d.topology)];
   if (d.wormhole) line += " --wormhole";
   if (d.packet != 0) line += " --packet " + std::to_string(d.packet);
-  line += " --order interleaved [--metrics=m.json --timeline=t.json]";
+  line += " --order interleaved";
   if (d.faults.enabled()) {
-    // tmc_cli rejects the fault family; these are the MachineConfig::faults
-    // values, spelled as the figure benches' flags.
-    line += " faults: --fault-rate " + print("%g", d.faults.node_rate) +
+    line += " --fault-rate " + print("%g", d.faults.node_rate) +
             " --fault-mttr " + print("%g", d.faults.node_mttr_s) +
             " --fault-link-rate " + print("%g", d.faults.link_rate) +
             " --fault-link-mttr " + print("%g", d.faults.link_mttr_s) +
             " --fault-drop " + print("%g", d.faults.drop_prob) +
             " --fault-seed " + std::to_string(d.faults.seed);
   }
-  return line;
+  return line + " [--metrics=m.json --timeline=t.json]";
 }
 
 /// Every MachineStats field, named, as an exact decimal string.
@@ -288,6 +287,24 @@ TEST(ArmedDifferential, DrawsCoverTheFeatureSpace) {
   EXPECT_GT(packets, 0);
   EXPECT_GT(stealing, 0);
   EXPECT_GT(faults, 0);
+}
+
+TEST(ArmedDifferential, FaultDrawReplaysFromItsLine) {
+  // The printed line is a tmc_cli command that runs the whole draw, faults
+  // included: ctest row cli_tmc_cli_fault_replay runs exactly this line
+  // and requires the makespan pinned here. The draw's faults move it (the
+  // same draw without them ends at 3.809 s).
+  const Draw d = draw_config(8);
+  ASSERT_TRUE(d.faults.enabled());
+  EXPECT_EQ(flag_line(d),
+            "tmc_cli --app matmul --arch fixed --policy adaptive --partition "
+            "16 --topology tree --packet 1024 --order interleaved "
+            "--fault-rate 0.02 --fault-mttr 0.5 --fault-link-rate 0.02 "
+            "--fault-link-mttr 0.2 --fault-drop 0.01 --fault-seed 8 "
+            "[--metrics=m.json --timeline=t.json]");
+  const core::RunResult run =
+      core::run_batch(experiment_config(d), workload::BatchOrder::kInterleaved);
+  EXPECT_EQ(core::fmt_seconds(run.makespan_s), "4.612");
 }
 
 TEST(RandomWorkload, StructureIsDeterministicPerSeed) {

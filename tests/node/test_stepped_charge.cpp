@@ -1,9 +1,11 @@
 // Twin tests of the Transputer's stepped charges.
 //
 // A process alone on its CPU runs a whole burst as one stepped kernel entry
-// whose quantum boundaries pass silently (Transputer::plan_op), and a
-// context switch into a CPU charge is folded into the charge behind it as
-// its first silent step (Transputer::plan_switch). The reference is
+// whose quantum boundaries pass silently, a context switch into a CPU
+// charge is folded into the charge behind it as its first silent step, and
+// a CPU whose ready processes are all compute-bound rotates through them
+// as one stepped entry whose quantum ends and switches pass silently
+// (Transputer::plan_turns). The reference is
 // EagerTransputer (eager_transputer.h), which keeps one event per switch
 // and per quantum. Every scenario below runs three times: on the
 // reference, and on the production CPU plain and with a timeline attached.
@@ -17,6 +19,7 @@
 // step, and inside the first quantum after it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -60,16 +63,18 @@ struct Rig {
     }
   }
 
-  Process& spawn(net::EndpointId id, SimTime cost) {
+  Process& spawn(net::EndpointId id, SimTime cost,
+                 SimTime quantum = kQuantum) {
     Program prog;
     prog.compute(cost).exit();
-    return adopt(id, std::move(prog));
+    return adopt(id, std::move(prog), quantum);
   }
 
-  Process& adopt(net::EndpointId id, Program prog) {
+  Process& adopt(net::EndpointId id, Program prog,
+                 SimTime quantum = kQuantum) {
     auto p = std::make_unique<Process>(id, 1, std::move(prog));
     p->bind_to_node(0);
-    p->set_quantum(kQuantum);
+    p->set_quantum(quantum);
     p->set_on_exit([this](Process& self) {
       note("exit " + std::to_string(self.id()));
     });
@@ -83,6 +88,14 @@ struct Rig {
 
   void note(const std::string& what) {
     log.push_back(std::to_string(sim.now().ns()) + " " + what);
+  }
+
+  Process& proc(net::EndpointId id) {
+    for (const auto& p : procs) {
+      if (p->id() == id) return *p;
+    }
+    ADD_FAILURE() << "no process " << id;
+    return *procs.front();
   }
 
   sim::Simulation sim;
@@ -508,6 +521,306 @@ INSTANTIATE_TEST_SUITE_P(
                       Unfolded::kReceiveWaiting,
                       Unfolded::kReceiveDuringSwitch),
     unfolded_name);
+
+// --- rotations ------------------------------------------------------------
+
+/// Rings of compute-bound processes made ready together at t=0: unequal
+/// quanta, bursts that end on different turns, and in the largest a
+/// ControlOp between two bursts.
+enum class Ring { kTwo, kThree, kFourWithControl };
+
+template <class Cpu>
+void spawn_ring(Rig<Cpu>& r, Ring ring) {
+  switch (ring) {
+    case Ring::kTwo:
+      r.spawn(1, SimTime::milliseconds(20));
+      r.spawn(2, SimTime::milliseconds(13), SimTime::milliseconds(3));
+      break;
+    case Ring::kThree:
+      r.spawn(1, SimTime::milliseconds(20));
+      r.spawn(2, SimTime::milliseconds(7), SimTime::microseconds(1500));
+      r.spawn(3, SimTime::milliseconds(11), SimTime::microseconds(2500));
+      break;
+    case Ring::kFourWithControl: {
+      r.spawn(1, SimTime::milliseconds(9));
+      r.spawn(2, SimTime::milliseconds(6), SimTime::microseconds(1500));
+      Program prog;
+      prog.compute(SimTime::milliseconds(3))
+          .control(SimTime::milliseconds(2),
+                   [&r](Process& self) {
+                     r.note("control " + std::to_string(self.id()));
+                   })
+          .compute(SimTime::milliseconds(4))
+          .exit();
+      r.adopt(3, std::move(prog), SimTime::milliseconds(1));
+      r.spawn(4, SimTime::milliseconds(12), SimTime::microseconds(2500));
+      break;
+    }
+  }
+  for (const auto& p : r.procs) r.cpu.make_ready(*p);
+}
+
+std::size_t ring_size(Ring ring) {
+  switch (ring) {
+    case Ring::kTwo: return 2;
+    case Ring::kThree: return 3;
+    case Ring::kFourWithControl: return 4;
+  }
+  return 0;
+}
+
+/// A context switch of the reference's undisturbed run of the ring: when
+/// it starts and whom it switches in.
+struct SwitchIn {
+  std::int64_t start_ns;
+  net::EndpointId pid;
+};
+
+std::vector<SwitchIn> reference_switches(Ring ring) {
+  Reference probe(true);
+  spawn_ring(probe, ring);
+  probe.sim.run();
+  std::vector<SwitchIn> switches;
+  for (const auto& rec : probe.timeline.records()) {
+    if (rec.kind == obs::RecordKind::kSpan &&
+        probe.timeline.name(rec.name) == "ctx-switch") {
+      switches.push_back(
+          {rec.start_ns, static_cast<net::EndpointId>(rec.value)});
+    }
+  }
+  return switches;
+}
+
+enum class RotationTiming {
+  kMidSwitch,
+  kSwitchEnd,
+  kMidTurn,
+  kTurnEndBeforeStep,
+  kTurnEndAfterStep,
+};
+
+enum class RotationPath {
+  kMakeReady,
+  kPostHigh,
+  kPostService,
+  kSuspendFirst,
+  kSuspendSecond,
+  kForceExitFirst,
+  kForceExitSecond,
+  kCrashRestore,
+  kSettleRead,
+};
+
+/// Where a rotation scenario aims: the second rotation's second switch
+/// (every member is still computing), switching in `first`; `second` is
+/// switched in after it. Before that switch's turn ends, `first` holds the
+/// CPU and `second` waits in the queue; after it, the other way round.
+struct RotationAim {
+  SimTime switch_start;
+  SimTime turn_end;
+  net::EndpointId first;
+  net::EndpointId second;
+};
+
+RotationAim aim(Ring ring) {
+  const auto switches = reference_switches(ring);
+  const std::size_t k = ring_size(ring) + 1;
+  EXPECT_GT(switches.size(), k + 1);
+  return {SimTime::nanoseconds(switches[k].start_ns),
+          SimTime::nanoseconds(switches[k + 1].start_ns), switches[k].pid,
+          switches[k + 1].pid};
+}
+
+template <class Cpu>
+void at_rotation(Rig<Cpu>& r, const RotationAim& a, RotationTiming timing,
+                 std::function<void()> action) {
+  const SimTime mid_turn = a.switch_start + kCtx + SimTime::microseconds(500);
+  switch (timing) {
+    case RotationTiming::kMidSwitch:
+      r.sim.schedule_at(a.switch_start + kCtx / 2, std::move(action));
+      return;
+    case RotationTiming::kSwitchEnd:
+      // Scheduled at t=0: before the kernel's step at the switch's end.
+      r.sim.schedule_at(a.switch_start + kCtx, std::move(action));
+      return;
+    case RotationTiming::kMidTurn:
+      r.sim.schedule_at(mid_turn, std::move(action));
+      return;
+    case RotationTiming::kTurnEndBeforeStep:
+      r.sim.schedule_at(a.turn_end, std::move(action));
+      return;
+    case RotationTiming::kTurnEndAfterStep:
+      r.sim.schedule_at(mid_turn, [&r, at = a.turn_end,
+                                   action = std::move(action)]() mutable {
+        r.sim.schedule_at(at, std::move(action));
+      });
+      return;
+  }
+}
+
+template <class Cpu>
+std::function<void()> rotation_interaction(Rig<Cpu>& r, RotationPath path,
+                                           const RotationAim& a) {
+  Process& first = r.proc(a.first);
+  Process& second = r.proc(a.second);
+  const auto suspend_resume = [&r](Process& p) {
+    return [&r, &p] {
+      r.cpu.suspend(p);
+      r.sim.schedule(SimTime::milliseconds(5), [&r, &p] { r.cpu.resume(p); });
+    };
+  };
+  const auto force_exit = [&r](Process& p) {
+    return [&r, &p] {
+      r.cpu.force_exit(p);
+      r.note("aborted " + std::to_string(p.id()) + " cpu " +
+             std::to_string(p.cpu_time().ns()));
+    };
+  };
+  switch (path) {
+    case RotationPath::kMakeReady:
+      return [&r] { r.cpu.make_ready(r.proc(9)); };
+    case RotationPath::kPostHigh:
+      return [&r] {
+        r.cpu.post_high(SimTime::microseconds(200), [&r] { r.note("high"); });
+      };
+    case RotationPath::kPostService:
+      return [&r] {
+        r.service(1, SimTime::microseconds(300));
+        r.service(2, SimTime::milliseconds(3));
+      };
+    case RotationPath::kSuspendFirst: return suspend_resume(first);
+    case RotationPath::kSuspendSecond: return suspend_resume(second);
+    case RotationPath::kForceExitFirst: return force_exit(first);
+    case RotationPath::kForceExitSecond: return force_exit(second);
+    case RotationPath::kCrashRestore:
+      return [&r] {
+        r.cpu.crash();
+        r.sim.schedule(SimTime::milliseconds(3), [&r] { r.cpu.restore(); });
+      };
+    case RotationPath::kSettleRead:
+      // The unsettled counts first, then every member's settled account.
+      return [&r] {
+        r.note("expiries " + std::to_string(r.cpu.quantum_expiries()) +
+               " switches " + std::to_string(r.cpu.context_switches()));
+        r.cpu.settle();
+        for (const auto& p : r.procs) {
+          r.note(std::to_string(p->id()) + " cpu " +
+                 std::to_string(p->cpu_time().ns()) + " dispatches " +
+                 std::to_string(p->dispatches()));
+        }
+      };
+  }
+  return [] {};
+}
+
+/// The ring rotates from t=0, with a newcomer (process 9) spawned but not
+/// ready; `path` interacts with the rotation once, at `timing`.
+template <class Cpu>
+void rotation_scenario(Rig<Cpu>& r, Ring ring, RotationPath path,
+                       RotationTiming timing, const RotationAim& a) {
+  spawn_ring(r, ring);
+  r.spawn(9, SimTime::milliseconds(4));
+  at_rotation(r, a, timing, rotation_interaction(r, path, a));
+  r.sim.run();
+}
+
+class RotationTwin
+    : public ::testing::TestWithParam<
+          std::tuple<Ring, RotationPath, RotationTiming>> {};
+
+std::string rotation_name(
+    const ::testing::TestParamInfo<
+        std::tuple<Ring, RotationPath, RotationTiming>>& info) {
+  static constexpr const char* kRings[] = {"Two", "Three", "FourWithControl"};
+  static constexpr const char* kPaths[] = {
+      "MakeReady",       "PostHigh",         "PostService",
+      "SuspendFirst",    "SuspendSecond",    "ForceExitFirst",
+      "ForceExitSecond", "CrashRestore",     "SettleRead"};
+  static constexpr const char* kTimings[] = {
+      "MidSwitch", "SwitchEnd", "MidTurn", "TurnEndBeforeStep",
+      "TurnEndAfterStep"};
+  return std::string(kRings[static_cast<int>(std::get<0>(info.param))]) +
+         "_" + kPaths[static_cast<int>(std::get<1>(info.param))] + "_" +
+         kTimings[static_cast<int>(std::get<2>(info.param))];
+}
+
+TEST_P(RotationTwin, PlainMatchesPerQuantumReference) {
+  const auto [ring, path, timing] = GetParam();
+  const RotationAim a = aim(ring);
+  Legs legs;
+  legs.run([ring = ring, path = path, timing = timing, &a](auto& r) {
+    rotation_scenario(r, ring, path, timing, a);
+  });
+
+  // The production CPU really did rotate silently.
+  EXPECT_GT(legs.plain.sim.steps_taken(), 0u);
+  EXPECT_LT(legs.plain.sim.fired_events(), legs.reference.sim.fired_events());
+  expect_twins(legs);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRingPathAndTiming, RotationTwin,
+    ::testing::Combine(
+        ::testing::Values(Ring::kTwo, Ring::kThree, Ring::kFourWithControl),
+        ::testing::Values(RotationPath::kMakeReady, RotationPath::kPostHigh,
+                          RotationPath::kPostService,
+                          RotationPath::kSuspendFirst,
+                          RotationPath::kSuspendSecond,
+                          RotationPath::kForceExitFirst,
+                          RotationPath::kForceExitSecond,
+                          RotationPath::kCrashRestore,
+                          RotationPath::kSettleRead),
+        ::testing::Values(RotationTiming::kMidSwitch,
+                          RotationTiming::kSwitchEnd, RotationTiming::kMidTurn,
+                          RotationTiming::kTurnEndBeforeStep,
+                          RotationTiming::kTurnEndAfterStep)),
+    rotation_name);
+
+TEST(Rotation, FiresOnlyWhereABurstEnds) {
+  Legs legs;
+  legs.run([](auto& r) { spawn_ring(r, Ring::kThree); });
+  legs.run([](auto& r) { r.sim.run(); });
+  expect_twins(legs);
+  // The reference fires one event per switch and per turn. The production
+  // CPU fires the dispatch pump, then one event per burst end: processes 2
+  // and 3 end on their fifth turns (the rotation's 14th and 15th), and
+  // process 1, switched back in after the last exit, runs its five
+  // remaining quanta alone.
+  const Production& plain = legs.plain;
+  EXPECT_EQ(plain.cpu.context_switches(), 16u);
+  EXPECT_EQ(plain.sim.fired_events(), 4u);
+  EXPECT_EQ(plain.sim.fired_events() + plain.sim.steps_taken(),
+            legs.reference.sim.fired_events());
+}
+
+TEST(Rotation, ArmedRecordsEverySwitchAndTurn) {
+  // Two processes whose bursts end on their last turns: every stretch is
+  // a switch or a turn between two others, so the armed CPU's spans are
+  // the reference's, one for one.
+  Legs legs;
+  legs.run([](auto& r) {
+    r.spawn(1, SimTime::milliseconds(8));
+    r.spawn(2, SimTime::milliseconds(9), SimTime::milliseconds(3));
+    for (const auto& p : r.procs) r.cpu.make_ready(*p);
+    r.sim.run();
+  });
+  expect_twins(legs);
+  const auto spans = [](const obs::Timeline& timeline) {
+    std::vector<std::tuple<std::int64_t, std::string, std::int64_t, double>>
+        out;
+    for (const auto& rec : timeline.records()) {
+      if (rec.kind != obs::RecordKind::kSpan) continue;
+      out.emplace_back(rec.start_ns, std::string(timeline.name(rec.name)),
+                       rec.dur_ns, rec.value);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto armed = spans(legs.armed.timeline);
+  EXPECT_EQ(armed, spans(legs.reference.timeline));
+  EXPECT_EQ(armed.size(), 14u);  // 7 switches and 7 turns
+  EXPECT_EQ(legs.armed.sim.fired_events(), 3u);
+}
 
 TEST(SteppedCharge, BoundariesLandWhereTheScenariosExpect) {
   // The reference CPU's quantum-expiry instants pin the timing constants

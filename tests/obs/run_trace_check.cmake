@@ -1,21 +1,22 @@
 # Trace contract check of a stepped run, invoked by ctest:
 #
 #   cmake -DBIN=<tmc_cli> -DPYTHON=<python3> -DTOOLS=<tools dir>
-#         -DTRACE=<out.json> -P run_trace_check.cmake
+#         -DTRACE=<out.json> "-DARGS=<tmc_cli flags>"
+#         [-DSORTED_SHA256=<hex>] -P run_trace_check.cmake
 #
-# Runs matmul on the fixed architecture under the static policy (one
-# process per node, so every burst is a stepped charge and every switch
-# into one is folded) with the timeline armed, then validates the trace
+# Runs tmc_cli with ARGS and the timeline armed, then validates the trace
 # with check_obs_json.py --timeline, which also requires that the spans on
-# each node track never overlap.
-foreach(var BIN PYTHON TOOLS TRACE)
+# each node track never overlap. With SORTED_SHA256 it also pins the
+# trace's events regardless of their order (check_obs_json.py
+# --sorted-sha256).
+foreach(var BIN PYTHON TOOLS TRACE ARGS)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_trace_check.cmake: -D${var}=... is required")
   endif()
 endforeach()
 
-set(args --app matmul --arch fixed --policy static --partition 4
-         --topology mesh --timeline=${TRACE})
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+list(APPEND args --timeline=${TRACE})
 
 file(REMOVE "${TRACE}")
 execute_process(
@@ -28,11 +29,15 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "${BIN} ${args} exited with ${rc}\nstderr:\n${err}")
 endif()
 
+set(check "${TOOLS}/check_obs_json.py" --timeline "${TRACE}")
+if(DEFINED SORTED_SHA256)
+  list(APPEND check --sorted-sha256 "${SORTED_SHA256}")
+endif()
 execute_process(
-  COMMAND "${PYTHON}" "${TOOLS}/check_obs_json.py" --timeline "${TRACE}"
+  COMMAND "${PYTHON}" ${check}
   RESULT_VARIABLE rc
 )
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "check_obs_json.py --timeline rejected ${TRACE} (${rc})")
+  message(FATAL_ERROR "check_obs_json.py rejected ${TRACE} (${rc})")
 endif()
 file(REMOVE "${TRACE}")

@@ -34,6 +34,14 @@ contracts consumers actually rely on:
       one tick object per line with finite values parallel to the channel
       list and non-decreasing timestamps.
 
+  --sorted-sha256 HEX
+      also pins the content of every --timeline file regardless of record
+      order: each traceEvents entry is serialised as
+      json.dumps(sort_keys=True, separators=(',', ':')), the lines are
+      sorted and joined by newlines, and their SHA-256 must equal HEX. A
+      change that only moves records passes; one that adds, drops or alters
+      a record fails.
+
 Usage:
     python3 tools/check_obs_json.py --metrics metrics.json \\
                                     --timeline timeline.json \\
@@ -44,6 +52,7 @@ Exit 0 if every given file passes; first violation is fatal.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import sys
@@ -355,6 +364,15 @@ def check_stream(path: str) -> None:
           f"{len(channels)} channels ok (stream)")
 
 
+def sorted_events_sha256(path: str) -> str:
+    """SHA-256 of a trace's events, independent of their order."""
+    with open(path) as f:
+        events = json.load(f)["traceEvents"]
+    lines = sorted(json.dumps(e, sort_keys=True, separators=(",", ":"))
+                   for e in events)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--metrics", action="append", default=[],
@@ -367,6 +385,9 @@ def main() -> int:
                              "and matched s/f flow events (repeatable)")
     parser.add_argument("--stream", action="append", default=[],
                         help="tmc-metrics-stream-v1 JSONL file (repeatable)")
+    parser.add_argument("--sorted-sha256", metavar="HEX",
+                        help="required order-independent SHA-256 of every "
+                             "--timeline file's events")
     args = parser.parse_args()
     if not args.metrics and not args.timeline and not args.flows \
             and not args.stream:
@@ -376,6 +397,12 @@ def main() -> int:
         check_metrics(path)
     for path in args.timeline:
         check_timeline(path)
+        if args.sorted_sha256:
+            actual = sorted_events_sha256(path)
+            if actual != args.sorted_sha256:
+                fail(path, f"sorted-event SHA-256 {actual}, expected "
+                           f"{args.sorted_sha256}")
+            print(f"check_obs_json: {path}: sorted-event SHA-256 ok")
     for path in args.flows:
         check_timeline(path, flows=True)
     for path in args.stream:
