@@ -90,8 +90,8 @@ struct MachineStats {
   /// apart, in quantum_steps: events + quantum_steps is the count of a run
   /// that fires one event per quantum and one per context switch.
   std::uint64_t events = 0;
-  /// Silent steps: the quantum boundaries and context-switch ends that a
-  /// CPU's stepped charges and rotations pass without firing an event.
+  /// Silent steps: the quantum boundaries of stepped charges, and the ends
+  /// of the context switches folded into the charge behind them.
   std::uint64_t quantum_steps = 0;
   /// Events ever scheduled, cancelled ones included.
   std::uint64_t scheduled_events = 0;

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <optional>
-#include <span>
 #include <variant>
 
 namespace tmc::node {
@@ -62,7 +60,6 @@ void Transputer::make_ready(Process& p) {
     p.state_ = ProcessState::kSuspended;
     return;
   }
-  settle_ring();  // before p joins the queue
   p.state_ = ProcessState::kReady;
   low_queue_.push_back(&p);
   truncate_chain();
@@ -71,12 +68,10 @@ void Transputer::make_ready(Process& p) {
 
 void Transputer::suspend(Process& p) {
   p.gang_active_ = false;
-  settle_ring();  // which member runs and which wait is the settled state
   switch (p.state_) {
     case ProcessState::kReady:
       low_queue_.erase_value(&p);
       p.state_ = ProcessState::kSuspended;
-      truncate_chain();
       return;
     case ProcessState::kRunning: {
       Process& interrupted = interrupt_low_charge();
@@ -177,7 +172,6 @@ void Transputer::restore() {
 
 void Transputer::force_exit(Process& p) {
   assert(p.node() == node_ && "process bound to a different node");
-  settle_ring();  // which member runs and which wait is the settled state
   switch (p.state_) {
     case ProcessState::kRunning: {
       Process& interrupted = interrupt_low_charge();
@@ -188,7 +182,6 @@ void Transputer::force_exit(Process& p) {
     }
     case ProcessState::kReady:
       low_queue_.erase_value(&p);
-      truncate_chain();
       break;
     case ProcessState::kBlockedMem:
       // Retract the staged-buffer / allocation request parked in the MMU so
@@ -285,7 +278,7 @@ void Transputer::continue_low() {
       p.compute_remaining_ = *cost;
       p.phase_ = Process::OpPhase::kCopy;
     }
-    plan_turns(sim::SimTime::zero());
+    plan_op(p);
     return;
   }
 
@@ -311,7 +304,7 @@ void Transputer::continue_low() {
       dispatch();
       return;
     }
-    plan_turns(sim::SimTime::zero());
+    plan_op(p);
     return;
   }
 
@@ -332,7 +325,7 @@ void Transputer::continue_low() {
               static_cast<std::int64_t>(delivered->message.bytes);
       p.staged_ = std::move(delivered);
     }
-    plan_turns(sim::SimTime::zero());
+    plan_op(p);
     return;
   }
 
@@ -381,13 +374,45 @@ std::optional<sim::SimTime> Transputer::cpu_cost(const Op& op) {
   return std::nullopt;
 }
 
+bool Transputer::alone() const {
+  return low_queue_.empty() && high_queue_.empty() && service_queue_.empty();
+}
+
+void Transputer::plan_op(Process& p) {
+  if (p.compute_remaining_ <= quantum_left_ || !alone()) {
+    plan_charge(ChargeKind::kOp,
+                std::min(p.compute_remaining_, quantum_left_));
+    return;
+  }
+  // Alone on the CPU, every boundary of this burst would only renew the
+  // quantum ("keep running" in on_charge_done) until a competitor arrives,
+  // which truncates the charge back to its next boundary. The kernel steps
+  // the boundaries with the draws the per-quantum events would make, so
+  // event order is unchanged; settle_chain() replays their side effects.
+  charge_started_ = sim_.now();
+  plan_stepped(ChargeKind::kOp, quantum_left_, p.compute_remaining_);
+}
+
 void Transputer::plan_switch(Process& p) {
   const sim::SimTime ctx = params_.context_switch;
   if (ctx <= sim::SimTime::zero() || !stage_cpu_charge(p)) {
     plan_charge(ChargeKind::kContext, ctx);
     return;
   }
-  plan_turns(ctx);
+  // The op charge the switch's end would plan (plan_op, with the queues as
+  // they are now) follows as the same stepped entry: the switch is its
+  // first step, which draws the sequence number that charge's schedule
+  // would draw, at the same moment. A competitor arriving during the
+  // switch truncates the entry to the switch's end, where on_charge_done
+  // takes the eager path; an interruption before the step is accounted as
+  // an interrupted switch. The entry is a kContext charge until the kernel
+  // steps past the switch's end (settle_chain).
+  const sim::SimTime run = alone()
+                               ? p.compute_remaining_
+                               : std::min(p.compute_remaining_, quantum_left_);
+  switch_end_ = sim_.now() + ctx;
+  charge_started_ = switch_end_;
+  plan_stepped(ChargeKind::kContext, ctx, ctx + run);
 }
 
 bool Transputer::stage_cpu_charge(Process& p) {
@@ -402,232 +427,67 @@ bool Transputer::stage_cpu_charge(Process& p) {
   return p.compute_remaining_ > sim::SimTime::zero();
 }
 
-std::size_t Transputer::rotation_ring() {
-  if (!high_queue_.empty() || !service_queue_.empty()) return 0;
-  if (low_queue_.empty()) return 1;
-  if (params_.context_switch <= sim::SimTime::zero()) return 0;
-  // Staging a queued process's op early is what its switch-in would do.
-  for (std::size_t i = 0; i < low_queue_.size(); ++i) {
-    if (!stage_cpu_charge(*low_queue_[i])) return 0;
-  }
-  return low_queue_.size() + 1;
-}
-
-Process& Transputer::ring_member(std::size_t i) const {
-  return i == 0 ? *current_ : *low_queue_[i - 1];
-}
-
-sim::SimTime Transputer::rotation_length() const {
-  // Member i's turns are the rotation's turns i, i + ring, ...; the current
-  // process's first turn has quantum_left_, every later one a whole
-  // quantum. The rotation ends with the first turn that ends a burst: that
-  // of the member with the fewest whole turns before its last (`last`),
-  // the earliest in ring order on a tie. A member beats the best so far
-  // when its remaining cost fits in that many quanta, so only an
-  // improvement costs a division.
-  const sim::SimTime after_first =
-      current_->compute_remaining_ - quantum_left_;
-  if (after_first <= sim::SimTime::zero()) {
-    return current_->compute_remaining_;
-  }
-  const std::int64_t q0 = current_->quantum().ns();
-  std::int64_t last = (after_first.ns() + q0 - 1) / q0;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < ring_size_; ++i) {
-    const Process& m = ring_member(i);
-    if (m.compute_remaining_ <= m.quantum() * last) {
-      last = (m.compute_remaining_.ns() - 1) / m.quantum().ns();
-      best = i;
-    }
-  }
-  // The turns before the last one are whole: `rotations` complete
-  // rotations from the current process's turn end, then the members at
-  // positions 1 .. `partial`.
-  const sim::SimTime ctx = params_.context_switch;
-  const std::int64_t rotations = best == 0 ? last - 1 : last;
-  const std::size_t partial = best == 0 ? ring_size_ - 1 : best - 1;
-  sim::SimTime length = quantum_left_ + period_ * rotations;
-  for (std::size_t i = 1; i <= partial; ++i) {
-    length += ctx + ring_member(i).quantum();
-  }
-  const Process& m = ring_member(best);
-  const sim::SimTime ran = best == 0
-                               ? quantum_left_ + m.quantum() * (last - 1)
-                               : m.quantum() * last;
-  return length + ctx + (m.compute_remaining_ - ran);
-}
-
-void Transputer::plan_turns(sim::SimTime lead) {
-  Process& p = *current_;
-  // The entry runs to the first boundary at which the per-quantum callback
-  // would do more than renew the quantum or switch to the next ring
-  // member: the end of this turn when it ends the burst or another
-  // competitor is queued, else the end of the first burst to finish.
-  const sim::SimTime turn = std::min(p.compute_remaining_, quantum_left_);
-  const std::size_t ring =
-      p.compute_remaining_ > quantum_left_ ? rotation_ring() : 0;
-  if (lead.is_zero() && ring == 0) {
-    plan_charge(ChargeKind::kOp, turn);
-    return;
-  }
-  // The cycle of steps after the first surfacing: from the switch's end,
-  // [Q_0, ctx, Q_1, ctx, ..., Q_n, ctx]; from this turn's end, the same
-  // cycle rotated by one. A ring of one steps by its quantum alone.
-  ring_size_ = std::max<std::size_t>(ring, 1);
-  cycle_.clear();
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    cycle_.push_back(ring_member(i).quantum());
-    if (ring_size_ > 1) cycle_.push_back(params_.context_switch);
-  }
-  period_ =
-      std::accumulate(cycle_.begin(), cycle_.end(), sim::SimTime::zero());
-  const sim::SimTime run = ring == 0   ? turn
-                           : ring == 1 ? p.compute_remaining_
-                                       : rotation_length();
-  if (lead.is_zero()) {
-    std::rotate(cycle_.begin(), cycle_.begin() + 1, cycle_.end());
-  }
-  charge_kind_ = lead.is_zero() ? ChargeKind::kOp : ChargeKind::kContext;
-  switch_end_ = sim_.now() + lead;
-  charge_started_ = switch_end_;
+void Transputer::plan_stepped(ChargeKind kind, sim::SimTime first,
+                              sim::SimTime deadline) {
+  assert(charge_event_ == sim::kNoEvent);
+  charge_kind_ = kind;
   span_started_ = sim_.now();
   stepped_ = true;
   set_busy(true);
-  charge_event_ = sim_.schedule_stepped(
-      lead.is_zero() ? quantum_left_ : lead,
-      std::span<const sim::SimTime>(cycle_), lead + run,
-      [this] { on_charge_done(); });
+  charge_event_ = sim_.schedule_stepped(first, current_->quantum(), deadline,
+                                        [this] { on_charge_done(); });
 }
 
 void Transputer::truncate_chain() {
   if (stepped_) sim_.truncate(charge_event_);
 }
 
-std::uint64_t Transputer::turn_ends_before(sim::SimTime next) const {
+std::int64_t Transputer::boundaries_before(sim::SimTime next) const {
   const sim::SimTime first = charge_started_ + quantum_left_;
   if (next <= first) return 0;
-  // Past the first turn end, every period_ ends one turn of each member.
-  const std::int64_t rotations =
-      (next - first - sim::SimTime::nanoseconds(1)).ns() / period_.ns();
-  std::uint64_t n = 1 + static_cast<std::uint64_t>(rotations) * ring_size_;
-  sim::SimTime end = first + period_ * rotations;
-  for (std::size_t i = 1; i < ring_size_; ++i) {
-    end += params_.context_switch + ring_member(i).quantum();
-    if (next <= end) break;
-    ++n;
-  }
-  return n;
-}
-
-void Transputer::end_switch(sim::SimTime next) {
-  if (charge_kind_ != ChargeKind::kContext || next <= switch_end_) return;
-  record_span(ChargeKind::kContext, switch_end_);
-  charge_kind_ = ChargeKind::kOp;
-  span_started_ = switch_end_;
-}
-
-void Transputer::end_turn() {
-  end_switch(sim::SimTime::max());
-  // The per-quantum callback at a boundary that ends no burst.
-  Process& p = *current_;
-  const sim::SimTime end = charge_started_ + quantum_left_;
-  p.cpu_time_ += quantum_left_;
-  p.compute_remaining_ -= quantum_left_;
-  ++quantum_expiries_;
-  service_turn_ = true;
-  charge_started_ = end;
-  if (ring_size_ == 1) {
-    quantum_left_ = p.quantum();  // alone on the CPU: keep running
-    return;
-  }
-  // The expired process goes to the back of the ready queue and the next
-  // ring member is switched in.
-  record_span(ChargeKind::kOp, end);
-  requeue(p);
-  Process& next = *low_queue_.front();
-  low_queue_.pop_front();
-  next.state_ = ProcessState::kRunning;
-  ++next.dispatches_;
-  ++context_switches_;
-  current_ = &next;
-  last_ran_ = &next;
-  quantum_left_ = next.quantum();
-  charge_kind_ = ChargeKind::kContext;
-  span_started_ = end;
-  switch_end_ = end + params_.context_switch;
-  charge_started_ = switch_end_;
-}
-
-void Transputer::skip_rotations(std::uint64_t rotations) {
-  if (rotations == 0) return;
-  // From the start of a turn, one rotation gives every member one whole
-  // turn: its switch (in a ring of two or more) and its quantum.
-  const auto n = static_cast<std::int64_t>(rotations);
-  const bool ring = ring_size_ > 1;
-  if (timeline_ != nullptr && ring) {
-    const sim::SimTime ctx = params_.context_switch;
-    sim::SimTime at = span_started_;
-    for (std::uint64_t r = 0; r < rotations; ++r) {
-      for (std::size_t i = 0; i < ring_size_; ++i) {
-        const Process& m = ring_member(i);
-        const auto pid = static_cast<double>(m.id());
-        timeline_->span(track_, name_context_, at, ctx, pid);
-        timeline_->span(track_, name_compute_, at + ctx, m.quantum(), pid);
-        at += ctx + m.quantum();
-      }
-    }
-  }
-  for (std::size_t i = 0; i < ring_size_; ++i) {
-    Process& m = ring_member(i);
-    m.cpu_time_ += m.quantum() * n;
-    m.compute_remaining_ -= m.quantum() * n;
-    if (ring) m.dispatches_ += rotations;
-  }
-  quantum_expiries_ += rotations * ring_size_;
-  if (ring) {
-    context_switches_ += rotations * ring_size_;
-    span_started_ += period_ * n;
-    switch_end_ += period_ * n;
-  }
-  charge_started_ += period_ * n;
+  const std::int64_t q = current_->quantum().ns();
+  return ((next - first).ns() + q - 1) / q;
 }
 
 void Transputer::settle_chain(sim::SimTime next) {
-  end_switch(next);
-  const std::uint64_t turns = turn_ends_before(next);
-  if (turns == 0) return;
-  end_turn();
-  skip_rotations((turns - 1) / ring_size_);
-  for (std::uint64_t i = (turns - 1) % ring_size_; i > 0; --i) end_turn();
-  end_switch(next);
+  if (charge_kind_ == ChargeKind::kContext) {
+    // A folded switch ends when the kernel steps past its end; from there
+    // on the entry is the op charge behind it.
+    if (next == switch_end_) return;
+    record_span(ChargeKind::kContext, switch_end_);
+    charge_kind_ = ChargeKind::kOp;
+    span_started_ = switch_end_;
+  }
+  const std::int64_t n = boundaries_before(next);
+  if (n == 0) return;
+  // n times the alone-on-the-CPU path of on_charge_done, in one go.
+  Process& p = *current_;
+  const sim::SimTime ran = quantum_left_ + p.quantum() * (n - 1);
+  p.cpu_time_ += ran;
+  p.compute_remaining_ -= ran;
+  charge_started_ += ran;
+  quantum_left_ = p.quantum();
+  quantum_expiries_ += static_cast<std::uint64_t>(n);
+  service_turn_ = true;
 }
 
 void Transputer::settle() {
   if (stepped_) settle_chain(sim_.pending_time(charge_event_));
 }
 
-void Transputer::settle_ring() {
-  if (stepped_ && ring_size_ > 1) {
-    settle_chain(sim_.pending_time(charge_event_));
-  }
-}
-
 std::uint64_t Transputer::quantum_expiries() const {
   if (!stepped_) return quantum_expiries_;
-  return quantum_expiries_ + turn_ends_before(sim_.pending_time(charge_event_));
-}
-
-std::uint64_t Transputer::context_switches() const {
-  if (!stepped_ || ring_size_ == 1) return context_switches_;
-  return context_switches_ + turn_ends_before(sim_.pending_time(charge_event_));
+  return quantum_expiries_ + static_cast<std::uint64_t>(boundaries_before(
+                                 sim_.pending_time(charge_event_)));
 }
 
 void Transputer::on_charge_done() {
   charge_event_ = sim::kNoEvent;
   if (stepped_) {
     stepped_ = false;
-    // The kernel stepped every boundary before now. An entry truncated at
-    // a switch's end stays a kContext charge: only the switch ran.
+    // The kernel stepped every boundary before now. A folded switch
+    // truncated before its first step stays a kContext charge: only the
+    // switch ran.
     settle_chain(sim_.now());
   }
   const ChargeKind kind = charge_kind_;
@@ -689,7 +549,7 @@ void Transputer::on_charge_done() {
 Process& Transputer::interrupt_low_charge() {
   assert(charge_kind_ == ChargeKind::kOp ||
          charge_kind_ == ChargeKind::kContext);
-  // After settling, a switch whose end the kernel has not stepped past is
+  // After settling, a folded switch whose first step is still pending is
   // a switch in progress, whichever order same-instant events at its end
   // arrive in.
   settle();

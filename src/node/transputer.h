@@ -18,31 +18,11 @@
 // bursts are preemptible CPU charges; sends stage a buffer from the local
 // MMU, pay a copy cost and hand off to the network; receives block on the
 // mailbox; allocations block on the MMU.
-//
-// Stepped rotations. A quantum end that only hands the CPU to the next
-// compute-bound process, or renews the quantum of a process alone on the
-// CPU, changes nothing but accounting. So when every ready low process is
-// in a pure CPU charge and no high or daemon work is queued, the CPU plans
-// its whole round-robin rotation as one stepped kernel entry (plan_turns)
-// whose cycle is [ctx, Q_a, ctx, Q_b, ...]: the kernel steps the switches
-// and quantum ends silently, drawing the sequence numbers the per-quantum
-// events would draw at the same moments, and the entry fires at the first
-// turn that ends a burst. A lone process is the ring of one, and a switch
-// into any pure CPU charge is its entry's first step. Every entry point
-// that changes what the rotation assumed (make_ready, post_high,
-// post_service, suspend, resume, force_exit, crash) ends the entry at its
-// next boundary, where the per-quantum code takes over; those that read
-// or change the ready queue first settle the passed boundaries (in
-// O(ring), plus one timeline span per switch and turn when recording).
-// Counters, completions, and with a timeline the spans, are exactly those
-// of one event per switch and per quantum.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 #include "mem/mmu.h"
 #include "node/process.h"
@@ -145,11 +125,10 @@ class Transputer {
   void force_exit(Process& p);
   [[nodiscard]] bool crashed() const { return crashed_; }
 
-  /// Brings the accounting of the running process, and of the ring it
-  /// rotates with, up to date: replays the quantum boundaries and switches
-  /// its stepped charge has passed silently (see plan_turns), so
-  /// Process::cpu_time() is what the per-quantum charges would have
-  /// recorded by now. The charge keeps running.
+  /// Brings the running process's accounting up to date: replays the
+  /// quantum boundaries its stepped charge has passed silently (see
+  /// plan_op), so Process::cpu_time() is what the per-quantum charges would
+  /// have recorded by now. The charge keeps running.
   void settle();
 
   // --- observability ------------------------------------------------------
@@ -161,9 +140,9 @@ class Transputer {
   [[nodiscard]] sim::SimTime busy_time() const {
     return busy_tracker_.busy_time(sim_.now());
   }
-  /// Both include the boundaries an in-flight stepped charge has passed but
-  /// not yet settled.
-  [[nodiscard]] std::uint64_t context_switches() const;
+  [[nodiscard]] std::uint64_t context_switches() const { return context_switches_; }
+  /// Includes the boundaries an in-flight stepped charge has passed but not
+  /// yet settled.
   [[nodiscard]] std::uint64_t quantum_expiries() const;
   [[nodiscard]] std::uint64_t high_preemptions() const { return high_preemptions_; }
   [[nodiscard]] std::uint64_t high_items() const { return high_items_; }
@@ -200,55 +179,41 @@ class Transputer {
   void continue_low();
   /// Schedules the end-of-charge event.
   void plan_charge(ChargeKind kind, sim::SimTime amount);
-  /// Plans the CPU charge of current_, whose op is a pure CPU charge, from
-  /// now: `lead` is the switch into it (zero when it already holds the
-  /// CPU). When its turn would end with a boundary that only renews the
-  /// quantum or hands the CPU to the next ring member (rotation_ring), the
-  /// charge is one stepped entry over the whole rotation: the switch, each
-  /// turn and each switch between turns are its silent steps, up to the
-  /// first turn that ends a burst. Otherwise the turn is one charge: a
-  /// plain one, or a stepped one whose only step is the switch's end.
-  void plan_turns(sim::SimTime lead);
-  /// Plans the context switch to `p`: into a pure CPU charge, the switch is
-  /// the first step of that charge's entry (plan_turns); otherwise it is
+  /// Plans the next charge of the op at current_->pc_. With the CPU to
+  /// itself (no queued competitor), the whole remaining burst becomes one
+  /// stepped charge whose quantum boundaries the kernel steps silently;
+  /// otherwise one quantum-bounded charge.
+  void plan_op(Process& p);
+  /// Plans the context switch to `p`. When the op at `p`'s pc is a pure CPU
+  /// charge at the switch's end, the switch is folded into that charge: one
+  /// stepped entry whose first step is the switch's end (switch_end_), a
+  /// kContext charge until the kernel steps past it. Otherwise the switch is
   /// its own charge.
   void plan_switch(Process& p);
   /// True when the op at p's pc is a pure CPU charge: a Compute or Control
   /// op of positive cost (whose remaining cost it stages, entering the copy
   /// phase), or any op in its copy phase with cost left to pay.
   bool stage_cpu_charge(Process& p);
-  /// The ring the CPU rotates through without an event: 1 + the queued low
-  /// processes when every one is in a pure CPU charge and no high or daemon
-  /// work is queued (a ring of two or more also needs a context switch
-  /// that takes time); 0 when some other competitor is queued.
-  std::size_t rotation_ring();
-  /// Ring position i: current_, then the ready queue in order.
-  [[nodiscard]] Process& ring_member(std::size_t i) const;
-  /// Time from current_'s turn start to the end of the first turn of a
-  /// rotation of ring_size_ (>= 2) that ends a burst.
-  [[nodiscard]] sim::SimTime rotation_length() const;
+  /// Plans a stepped charge of current_ (steps of its quantum): kOp, or
+  /// kContext for a folded switch.
+  void plan_stepped(ChargeKind kind, sim::SimTime first,
+                    sim::SimTime deadline);
+  /// No queued competitor for the CPU: high work, daemon work or a ready
+  /// process.
+  [[nodiscard]] bool alone() const;
   /// The CPU cost of a Compute or Control op; nullopt for other ops.
   static std::optional<sim::SimTime> cpu_cost(const Op& op);
   /// A competitor arrived: a stepped charge must stop at its next boundary,
-  /// where the per-quantum callback would find the ring changed.
+  /// where the per-quantum callback would find the CPU shared.
   void truncate_chain();
-  /// Number of turn ends of the stepped charge strictly before `next`: the
-  /// ones the kernel has already stepped past. O(ring).
-  [[nodiscard]] std::uint64_t turn_ends_before(sim::SimTime next) const;
+  /// Number of quantum boundaries of the stepped charge strictly before
+  /// `next`: the ones the kernel has already stepped past.
+  [[nodiscard]] std::int64_t boundaries_before(sim::SimTime next) const;
   /// Replays each boundary before `next` with every side effect of the
-  /// per-quantum callback at that boundary, in O(ring) plus one span per
-  /// switch and turn when recording: a switch whose end is passed becomes
-  /// the turn behind it (end_switch), a passed turn end renews the quantum
-  /// or switches to the next ring member (end_turn), and whole rotations
-  /// go in one step (skip_rotations).
+  /// per-quantum callback at that boundary. A folded switch whose end is
+  /// before `next` is over: its span is recorded and the charge becomes the
+  /// kOp charge behind it.
   void settle_chain(sim::SimTime next);
-  /// settle() before an entry point reads or changes the ready queue or a
-  /// member's state. Only a rotation needs it: a lone process's passed
-  /// boundaries touch neither, so they wait for the next settle.
-  void settle_ring();
-  void end_switch(sim::SimTime next);
-  void end_turn();
-  void skip_rotations(std::uint64_t rotations);
   void on_charge_done();
   /// Cancels an in-flight daemon charge, accounting the elapsed work.
   void interrupt_service();
@@ -301,27 +266,18 @@ class Transputer {
   bool pump_scheduled_ = false;
   bool crashed_ = false;
   ChargeKind charge_kind_ = ChargeKind::kNone;
-  /// The in-flight charge is stepped (see plan_turns).
+  /// The in-flight charge is stepped (see plan_op and plan_switch).
   bool stepped_ = false;
-  /// Members of the stepped charge's ring (current_ and the first
-  /// ring_size_ - 1 queued processes), the steps of its cycle, and their
-  /// sum: one rotation, in which each member runs one quantum (and, in a
-  /// ring of two or more, is switched in once).
-  std::size_t ring_size_ = 1;
-  /// The kernel reads the cycle in place while the entry is pending, so it
-  /// is rebuilt only when the next one is planned.
-  std::vector<sim::SimTime> cycle_;
-  sim::SimTime period_;
-  /// End of the switch in progress in the stepped charge; the charge is in
-  /// that switch while it is of kind kContext.
+  /// End of the switch folded in front of the in-flight stepped charge
+  /// (plan_switch); the charge is still in that prefix while it is of kind
+  /// kContext.
   sim::SimTime switch_end_;
-  /// Start of the charge; for a stepped charge, of its unsettled part of
-  /// the current turn (during a switch, the switch's end).
+  /// Start of the charge; for a stepped charge, of its unsettled part (for
+  /// a folded switch, the switch's end).
   sim::SimTime charge_started_;
   /// Start of the charge's timeline span: settling moves charge_started_
-  /// past a lone process's boundaries but not this, so its stepped burst is
-  /// one span. A switch's span starts at the dispatch, the turn's at the
-  /// switch's end; in a ring, each turn and switch is its own span.
+  /// but not this, so a stepped charge is one span. A folded switch's span
+  /// starts at the dispatch, its op charge's at the switch's end.
   sim::SimTime span_started_;
 
   sim::BusyTracker busy_tracker_;

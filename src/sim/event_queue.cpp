@@ -27,19 +27,13 @@ EventId EventQueue::place(SimTime at, SlotHandle slot) {
   return make_id(slot);
 }
 
-EventId EventQueue::place_stepped(SimTime first,
-                                  std::span<const SimTime> cycle,
+EventId EventQueue::place_stepped(SimTime first, SimTime step,
                                   SimTime deadline, SlotHandle slot) {
-  assert(!cycle.empty() && "a stepped event needs a step");
-  assert(std::all_of(cycle.begin(), cycle.end(),
-                     [](SimTime step) { return step > SimTime::zero(); }) &&
-         "a stepped event must advance");
+  assert(step > SimTime::zero() && "a stepped event must advance");
   assert(first <= deadline);
   slots_[slot.index].stepped = true;
   if (slot.index >= stepping_.size()) stepping_.resize(slots_.size());
-  stepping_[slot.index] =
-      Stepping{first, cycle.front(), deadline, cycle.data(),
-               static_cast<std::uint32_t>(cycle.size()), 0};
+  stepping_[slot.index] = Stepping{first, step, deadline};
   // Never the same-instant lane: only a heap top is ever re-keyed. Pop
   // merges the fronts under (time, seq), so the order is exact either way.
   // The step lane takes the entry by the rule a step follows: it founds an
@@ -149,18 +143,11 @@ bool EventQueue::step_top() {
   const Entry next{std::min(top.time + stepping.step, stepping.deadline),
                    ++scheduled_, top.slot};
   stepping.key = next.time;
-  if (stepping.cycle_size > 1) {
-    if (++stepping.cycle_pos == stepping.cycle_size) stepping.cycle_pos = 0;
-    stepping.step = stepping.cycle[stepping.cycle_pos];
-  }
   ++steps_;
   const bool front = is_step_front(top.slot);
-  if ((front || step_front_.slot.index == kNoFront) &&
-      (step_head_ == step_lane_.size() ||
-       before(next, step_lane_[step_head_]))) {
-    // The front (or the first entry of an empty lane) whose new key is
-    // still before every entry behind it -- the lane's only entry, or a
-    // rotation's short step to its switch's end: re-key in place.
+  if (step_head_ == step_lane_.size() &&
+      (front || step_front_.slot.index == kNoFront)) {
+    // The lane's only entry, or the first: re-key in place.
     top = next;
     step_front_ = next;
     sift_down(0);

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,12 +46,9 @@ inline constexpr EventId kNoEvent = 0;
 /// serve_mix and 33% on scale_wormhole.
 ///
 /// Stepped events: schedule_stepped() inserts an entry that stands in for a
-/// self-rescheduling callback chain (a CPU's bursts and context switches,
-/// which renew the charge at every boundary). Its steps walk a cycle of
-/// step sizes, repeated in order: a lone burst is a cycle of one quantum, a
-/// CPU's rotation of compute-bound processes the cycle [Q_a, ctx, Q_b, ctx,
-/// ...]. Each time the entry surfaces before its deadline, the queue
-/// re-keys it one step on -- drawing the next sequence number exactly as
+/// self-rescheduling callback chain (a CPU burst that renews its quantum at
+/// every boundary). Each time the entry surfaces before its deadline, the
+/// queue re-keys it in place -- drawing the next sequence number exactly as
 /// the chain's re-schedule would, at the same moment -- and runs nothing.
 /// The callback fires only when the entry surfaces at its deadline. Because
 /// every draw happens in the same order as in the eager chain, sequence
@@ -63,12 +59,11 @@ inline constexpr EventId kNoEvent = 0;
 /// order. The queue keeps them in a second FIFO, sorted by (time, seq), of
 /// which only the front lives in the heap. A step whose new key is not
 /// before the lane's back key is appended to the lane (the front is
-/// re-keyed in place when its new key is still before every entry behind
-/// it); any other step re-keys its entry in the heap. schedule_stepped()
-/// places a new entry by the same rule, and one that finds the lane empty
-/// becomes its front. When the front fires, steps, or surfaces cancelled,
-/// the next live lane entry takes its place in the heap. A machine of N
-/// CPUs on one quantum then
+/// re-keyed in place when it is the lane's only entry); any other step
+/// re-keys its entry in the heap. schedule_stepped() places a new entry by
+/// the same rule, and one that finds the lane empty becomes its front. When
+/// the front fires, steps, or surfaces cancelled, the next live lane entry
+/// takes its place in the heap. A machine of N CPUs on one quantum then
 /// keeps one stepped entry in the heap, not N, and a step costs a sift
 /// through the plain events only.
 /// This is exact, not a heuristic:
@@ -102,28 +97,18 @@ class EventQueue {
     return place(at, slot);
   }
 
-  /// Schedules a stepped event: it surfaces at `first`, then steps through
-  /// `cycle` (step sizes > 0, repeated in order), with the last step clipped
-  /// to `deadline` (>= `first`). Every surfacing before the deadline is a
-  /// silent step: the entry is re-keyed with a freshly drawn sequence
-  /// number and nothing runs. `cb` fires when the entry surfaces at its
-  /// deadline. Steps are counted by steps_taken(), not as pops. A cycle of
-  /// one step is copied; a longer cycle is read in place, so the caller
-  /// keeps it unchanged until the event fires or is cancelled.
-  template <typename F>
-  EventId schedule_stepped(SimTime first, std::span<const SimTime> cycle,
-                           SimTime deadline, F&& cb) {
-    const SlotHandle slot = acquire_slot();
-    slots_[slot.index].callback.emplace(std::forward<F>(cb));
-    return place_stepped(first, cycle, deadline, slot);
-  }
-
-  /// A stepped event whose cycle is the one step `step`.
+  /// Schedules a stepped event: it surfaces at `first`, then every `step`
+  /// (> 0), with the last step clipped to `deadline` (>= `first`). Every
+  /// surfacing before the deadline is a silent step: the entry is re-keyed
+  /// with a freshly drawn sequence number and nothing runs. `cb` fires when
+  /// the entry surfaces at its deadline. Steps are counted by
+  /// steps_taken(), not as pops.
   template <typename F>
   EventId schedule_stepped(SimTime first, SimTime step, SimTime deadline,
                            F&& cb) {
-    return schedule_stepped(first, std::span<const SimTime>(&step, 1),
-                            deadline, std::forward<F>(cb));
+    const SlotHandle slot = acquire_slot();
+    slots_[slot.index].callback.emplace(std::forward<F>(cb));
+    return place_stepped(first, step, deadline, slot);
   }
 
   /// Moves a pending stepped event's deadline to its current key, so its
@@ -202,11 +187,8 @@ class EventQueue {
   /// it) so plain events do not pay for it.
   struct Stepping {
     SimTime key;  // current heap key: the next surfacing
-    SimTime step;  // the size of the next step: cycle[cycle_pos]
+    SimTime step;
     SimTime deadline;
-    const SimTime* cycle;  // the caller's cycle; unused when it is one step
-    std::uint32_t cycle_size;
-    std::uint32_t cycle_pos;
   };
   /// Slot-pool capacity reserved on first use: 4096 x 80 B slots plus the
   /// 4096 x 24 B heap array reserved beside it, about 416 KiB.
@@ -238,8 +220,8 @@ class EventQueue {
   /// Queues the plain event in `slot` at `at`, drawing its sequence number.
   EventId place(SimTime at, SlotHandle slot);
   /// Queues the stepped event in `slot` (see schedule_stepped).
-  EventId place_stepped(SimTime first, std::span<const SimTime> cycle,
-                        SimTime deadline, SlotHandle slot);
+  EventId place_stepped(SimTime first, SimTime step, SimTime deadline,
+                        SlotHandle slot);
 
   /// True when `id` names a pending event. Ids arrive from callers, so the
   /// slot index is range-checked: kNoEvent and ids this queue never issued

@@ -46,15 +46,14 @@ class Simulation {
   }
 
   /// Schedules a stepped event (see EventQueue::schedule_stepped): it
-  /// surfaces `first` from now, then steps through `cycle` (a single step
-  /// or a span of them), and `cb` fires at `deadline` from now. Each
-  /// surfacing before the deadline is a silent step, counted by
-  /// steps_taken() instead of fired_events().
-  template <typename Cycle, typename F>
-  EventId schedule_stepped(SimTime first, const Cycle& cycle,
-                           SimTime deadline, F&& cb) {
+  /// surfaces `first` from now, then every `step`, and `cb` fires at
+  /// `deadline` from now. Each surfacing before the deadline is a silent
+  /// step, counted by steps_taken() instead of fired_events().
+  template <typename F>
+  EventId schedule_stepped(SimTime first, SimTime step, SimTime deadline,
+                           F&& cb) {
     assert(!first.is_negative() && "negative delay");
-    return queue_.schedule_stepped(now_ + first, cycle, now_ + deadline,
+    return queue_.schedule_stepped(now_ + first, step, now_ + deadline,
                                    std::forward<F>(cb));
   }
 

@@ -121,8 +121,8 @@ TEST(Machine, CustomProcessorCount) {
   EXPECT_EQ(machine.partition_count(), 4);
 }
 
-/// A figure point's kernel and CPU counts under per-quantum charging: every
-/// quantum end between two processes fired its own event.
+/// A figure point's kernel and CPU counts: every quantum end between two
+/// processes fires its own event.
 struct RotationPoint {
   workload::App app;
   sched::PolicyKind policy;
@@ -132,17 +132,15 @@ struct RotationPoint {
   std::uint64_t eager;      // events + quantum_steps
   std::uint64_t switches;
   std::uint64_t expiries;
-  std::uint64_t events;  // fired events under per-quantum rotation
+  std::uint64_t events;  // fired events
 };
 
-TEST(Machine, RotationsKeepEveryCountButFiredEvents) {
-  // `tmc_cli --arch fixed --order interleaved` at these points, measured
-  // before rotations became stepped entries. A CPU's rotation of
-  // compute-bound processes now steps its quantum ends and switches
-  // silently: the same sequence numbers are drawn at the same moments, so
-  // only fired events fall and steps rise by as many. The p=16 TS point
-  // has no quantum expiry at all (its quantum outlasts every burst), so
-  // its events stay.
+TEST(Machine, RotationPointsKeepEveryCount) {
+  // `tmc_cli --arch fixed --order interleaved` at points where a CPU
+  // rotates compute-bound processes. Only a lone process's quantum ends
+  // and the ends of switches into a pure CPU charge are silent steps, so
+  // each count, fired events included, is pinned exactly. The p=16 TS
+  // point has no quantum expiry at all (its quantum outlasts every burst).
   const RotationPoint points[] = {
       {workload::App::kSort, sched::PolicyKind::kStatic, 1,
        net::TopologyKind::kLinear, 44'424, 44'424, 20'448, 19'080, 25'144},
@@ -162,11 +160,7 @@ TEST(Machine, RotationsKeepEveryCountButFiredEvents) {
     EXPECT_EQ(s.events + s.quantum_steps, point.eager);
     EXPECT_EQ(s.context_switches, point.switches);
     EXPECT_EQ(s.quantum_expiries, point.expiries);
-    if (point.expiries > 0) {
-      EXPECT_LT(s.events, point.events);
-    } else {
-      EXPECT_EQ(s.events, point.events);
-    }
+    EXPECT_EQ(s.events, point.events);
   }
 }
 

@@ -1,11 +1,10 @@
 // Twin tests of the Transputer's stepped charges.
 //
 // A process alone on its CPU runs a whole burst as one stepped kernel entry
-// whose quantum boundaries pass silently, a context switch into a CPU
-// charge is folded into the charge behind it as its first silent step, and
-// a CPU whose ready processes are all compute-bound rotates through them
-// as one stepped entry whose quantum ends and switches pass silently
-// (Transputer::plan_turns). The reference is
+// whose quantum boundaries pass silently (Transputer::plan_op), and a
+// context switch into a CPU charge is folded into the charge behind it as
+// its first silent step (Transputer::plan_switch); a CPU rotating several
+// compute-bound processes fires one event per turn. The reference is
 // EagerTransputer (eager_transputer.h), which keeps one event per switch
 // and per quantum. Every scenario below runs three times: on the
 // reference, and on the production CPU plain and with a timeline attached.
@@ -776,19 +775,19 @@ INSTANTIATE_TEST_SUITE_P(
                           RotationTiming::kTurnEndAfterStep)),
     rotation_name);
 
-TEST(Rotation, FiresOnlyWhereABurstEnds) {
+TEST(Rotation, FiresAtEveryTurnBetweenProcesses) {
   Legs legs;
   legs.run([](auto& r) { spawn_ring(r, Ring::kThree); });
   legs.run([](auto& r) { r.sim.run(); });
   expect_twins(legs);
   // The reference fires one event per switch and per turn. The production
-  // CPU fires the dispatch pump, then one event per burst end: processes 2
-  // and 3 end on their fifth turns (the rotation's 14th and 15th), and
-  // process 1, switched back in after the last exit, runs its five
-  // remaining quanta alone.
+  // CPU fires the dispatch pump, then one event per turn end: each switch
+  // is the silent first step of the turn behind it, and process 1,
+  // switched back in after the last exit, runs its five remaining quanta
+  // alone as one stepped charge.
   const Production& plain = legs.plain;
   EXPECT_EQ(plain.cpu.context_switches(), 16u);
-  EXPECT_EQ(plain.sim.fired_events(), 4u);
+  EXPECT_EQ(plain.sim.fired_events(), 17u);
   EXPECT_EQ(plain.sim.fired_events() + plain.sim.steps_taken(),
             legs.reference.sim.fired_events());
 }
@@ -819,7 +818,7 @@ TEST(Rotation, ArmedRecordsEverySwitchAndTurn) {
   const auto armed = spans(legs.armed.timeline);
   EXPECT_EQ(armed, spans(legs.reference.timeline));
   EXPECT_EQ(armed.size(), 14u);  // 7 switches and 7 turns
-  EXPECT_EQ(legs.armed.sim.fired_events(), 3u);
+  EXPECT_EQ(legs.armed.sim.fired_events(), 8u);
 }
 
 TEST(SteppedCharge, BoundariesLandWhereTheScenariosExpect) {

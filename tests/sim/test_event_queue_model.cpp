@@ -17,7 +17,6 @@
 #include <map>
 #include <memory>
 #include <random>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -368,8 +367,7 @@ TEST(EventQueueModel, StepUntilMatchesRunUntil) {
 //
 // A stepped event must be indistinguishable from the self-rescheduling
 // callback chain it stands for: a callback that, surfacing before its
-// deadline, re-schedules itself one step on (clipped to the deadline),
-// taking its steps from a cycle of sizes in turn. Two
+// deadline, re-schedules itself one step on (clipped to the deadline). Two
 // simulations run the same seeded world, one with eager chains and one with
 // stepped events, amid random events that pile onto the chain boundaries.
 // Both make the same random choices in the same order as long as their
@@ -379,16 +377,13 @@ TEST(EventQueueModel, StepUntilMatchesRunUntil) {
 class ChainWorld {
  public:
   /// `chains` chains, of which about `minority_percent` step every 15 ns
-  /// and the rest every 10 ns; with `max_cycle` > 1, each chain instead
-  /// walks a cycle of 1 to `max_cycle` steps of 5 to 20 ns (a CPU's
-  /// rotation: quanta and context switches in turn).
+  /// and the rest every 10 ns.
   ChainWorld(bool stepped, std::uint64_t seed, std::size_t chains,
-             int minority_percent, int max_cycle = 1)
+             int minority_percent)
       : stepped_(stepped),
         rng_(seed),
         chains_(chains),
-        minority_percent_(minority_percent),
-        max_cycle_(max_cycle) {}
+        minority_percent_(minority_percent) {}
 
   void start() {
     for (int i = 0; i < 40; ++i) {
@@ -416,8 +411,7 @@ class ChainWorld {
   struct Chain {
     EventId id = kNoEvent;
     SimTime pending;  // eager side: the chain event's time
-    std::vector<SimTime> cycle;  // unchanged while the chain is pending
-    std::size_t next = 0;        // eager side: index of the next step
+    SimTime step;
     SimTime deadline;
   };
 
@@ -431,21 +425,13 @@ class ChainWorld {
   void start_chain(std::size_t c) {
     Chain& chain = chains_[c];
     const SimTime first = grid(1, 4);
-    chain.cycle.clear();
-    if (max_cycle_ == 1) {
-      chain.cycle.push_back(ns(roll() < minority_percent_ ? 15 : 10));
-    } else {
-      const int n = std::uniform_int_distribution<int>(1, max_cycle_)(rng_);
-      for (int i = 0; i < n; ++i) chain.cycle.push_back(grid(1, 4));
-    }
-    chain.next = 0;
+    chain.step = ns(roll() < minority_percent_ ? 15 : 10);
     const SimTime deadline = first + grid(0, 20);
     chain.deadline = sim_.now() + deadline;
     const int tag = next_tag_++;
     if (stepped_) {
-      chain.id = sim_.schedule_stepped(
-          first, std::span<const SimTime>(chain.cycle), deadline,
-          [this, c, tag] { finish(c, tag); });
+      chain.id = sim_.schedule_stepped(first, chain.step, deadline,
+                                       [this, c, tag] { finish(c, tag); });
     } else {
       chain.pending = sim_.now() + first;
       chain.id = sim_.schedule(first, [this, c, tag] { surface(c, tag); });
@@ -456,9 +442,7 @@ class ChainWorld {
   void surface(std::size_t c, int tag) {
     Chain& chain = chains_[c];
     if (sim_.now() < chain.deadline) {
-      const SimTime step = chain.cycle[chain.next];
-      chain.next = (chain.next + 1) % chain.cycle.size();
-      chain.pending = std::min(sim_.now() + step, chain.deadline);
+      chain.pending = std::min(sim_.now() + chain.step, chain.deadline);
       chain.id = sim_.schedule(chain.pending - sim_.now(),
                                [this, c, tag] { surface(c, tag); });
       return;
@@ -518,7 +502,6 @@ class ChainWorld {
   Simulation sim_;
   std::vector<Chain> chains_;
   int minority_percent_;
-  int max_cycle_;
   std::vector<std::pair<int, std::int64_t>> log_;
   int next_payload_ = 40;
   int next_tag_ = 0;
@@ -528,9 +511,9 @@ class ChainWorld {
 /// random run_until/step_until slices, and demands identical observables
 /// after every slice.
 void expect_stepped_matches_eager(std::uint64_t seed, std::size_t chains,
-                                  int minority_percent, int max_cycle = 1) {
-  ChainWorld eager(false, seed, chains, minority_percent, max_cycle);
-  ChainWorld stepped(true, seed, chains, minority_percent, max_cycle);
+                                  int minority_percent) {
+  ChainWorld eager(false, seed, chains, minority_percent);
+  ChainWorld stepped(true, seed, chains, minority_percent);
   eager.start();
   stepped.start();
   std::mt19937_64 limits(seed ^ 0x9e3779b97f4a7c15ull);
@@ -570,38 +553,6 @@ TEST(EventQueueModel, SteppedEventMatchesEagerChain) {
     SCOPED_TRACE("64 chains, seed " + std::to_string(seed));
     expect_stepped_matches_eager(seed, 64, 15);
   }
-}
-
-TEST(EventQueueModel, CycledSteppedEventMatchesEagerChain) {
-  // Each chain walks a cycle of one to four step sizes: its steps are
-  // rarely in step-lane order, so they re-key in the heap, promote lane
-  // fronts and land on other chains' boundaries.
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    expect_stepped_matches_eager(seed, 3, 0, 4);
-  }
-  for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-    SCOPED_TRACE("64 chains, seed " + std::to_string(seed));
-    expect_stepped_matches_eager(seed, 64, 0, 4);
-  }
-}
-
-TEST(EventQueueModel, CycledStepsWalkTheCycleInOrder) {
-  EventQueue queue;
-  const SimTime cycle[] = {ns(3), ns(10), ns(7)};
-  int fired = 0;
-  const EventId id = queue.schedule_stepped(
-      ns(5), std::span<const SimTime>(cycle), ns(43), [&fired] { ++fired; });
-  // Surfacings: 5, 8, 18, 25, 28, 38, and 45 clipped to the deadline 43.
-  const std::int64_t keys[] = {8, 18, 25, 28, 38, 43};
-  for (const std::int64_t key : keys) {
-    queue.schedule(ns(key) - ns(1), [] {});
-    (void)queue.pop();  // steps to the plain event just before `key`
-    EXPECT_EQ(queue.pending_time(id), ns(key));
-  }
-  EXPECT_EQ(queue.steps_taken(), 6u);
-  EXPECT_EQ(queue.pop().time, ns(43));
-  EXPECT_EQ(fired, 0);  // pop() hands the callback back without running it
 }
 
 TEST(EventQueueModel, SteppedEventSurfacesOnItsGrid) {
