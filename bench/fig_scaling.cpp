@@ -68,10 +68,13 @@ std::size_t proc_status_bytes(const char* key) {
 /// Live heap bytes (glibc); falls back to resident-set size elsewhere.
 /// Heap accounting is the right probe for the bytes-per-node trend: RSS
 /// deltas go quiet once the allocator starts reusing pages freed by the
-/// previous (smaller) machine.
+/// previous (smaller) machine. Chunks glibc serves by mmap (the large
+/// per-node arrays of a big machine) are not in the arena's count, so they
+/// are added.
 std::size_t live_heap_bytes() {
 #if defined(__GLIBC__)
-  return mallinfo2().uordblks;
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
 #else
   return proc_status_bytes("VmRSS");
 #endif
@@ -85,7 +88,7 @@ struct SizePoint {
   double events_per_s = 0.0;
   double mean_response_s = 0.0;
   double makespan_s = 0.0;
-  std::size_t machine_bytes = 0;        // construction RSS delta
+  std::size_t machine_bytes = 0;        // construction live-heap delta
   std::size_t topology_bytes = 0;       // CSR adjacency + link table
   std::size_t table_routing_bytes = 0;  // what the BFS table would hold
 };

@@ -42,13 +42,14 @@ Multicomputer::Multicomputer(MachineConfig config)
   mmus_.reserve(static_cast<std::size_t>(cfg_.processors));
   cpus_.reserve(static_cast<std::size_t>(cfg_.processors));
   std::vector<mem::Mmu*> mmu_ptrs;
-  std::vector<node::Transputer*> cpu_ptrs;
+  mmu_ptrs.reserve(static_cast<std::size_t>(cfg_.processors));
+  cpu_ptrs_.reserve(static_cast<std::size_t>(cfg_.processors));
   for (int i = 0; i < cfg_.processors; ++i) {
     mem::Mmu& mmu = mmus_.emplace_back(sim_, cfg_.memory_per_node,
                                        cfg_.mmu_service, cfg_.mmu_discipline);
     node::Transputer& cpu = cpus_.emplace_back(sim_, i, mmu, cfg_.cpu);
     mmu_ptrs.push_back(&mmu);
-    cpu_ptrs.push_back(&cpu);
+    cpu_ptrs_.push_back(&cpu);
   }
 
   if (cfg_.wormhole) {
@@ -58,23 +59,23 @@ Multicomputer::Multicomputer(MachineConfig config)
     network_ = std::make_unique<net::StoreForwardNetwork>(
         sim_, topo_, mmu_ptrs, cfg_.network);
   }
-  comm_ = std::make_unique<node::CommSystem>(sim_, *network_, cpu_ptrs,
+  comm_ = std::make_unique<node::CommSystem>(sim_, *network_, cpu_ptrs_,
                                              cfg_.comm);
 
   if (cfg_.stealing.enabled()) {
     steal_engine_ = std::make_unique<sched::stealing::Engine>(
-        sim_, *comm_, network_->routing(), cpu_ptrs, cfg_.stealing);
+        sim_, *comm_, network_->routing(), cpu_ptrs_, cfg_.stealing);
   }
 
   if (cfg_.policy.kind == sched::PolicyKind::kAdaptiveStatic) {
     scheduler_ = std::make_unique<sched::AdaptiveScheduler>(
-        sim_, cpu_ptrs, *comm_, cfg_.policy, cfg_.partition_sched);
+        sim_, cpu_ptrs_, *comm_, cfg_.policy, cfg_.partition_sched);
   } else {
     std::vector<sched::PartitionScheduler*> ps_ptrs;
     for (auto& part : sched::equal_partitions(cfg_.processors,
                                               cfg_.policy.partition_size)) {
       partition_scheds_.push_back(std::make_unique<sched::PartitionScheduler>(
-          sim_, std::move(part), cpu_ptrs, *comm_, cfg_.policy,
+          sim_, std::move(part), cpu_ptrs_, *comm_, cfg_.policy,
           cfg_.partition_sched));
       ps_ptrs.push_back(partition_scheds_.back().get());
     }

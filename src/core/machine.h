@@ -178,6 +178,9 @@ class Multicomputer {
   /// Transputer are non-movable; see core/node_array.h).
   NodeArray<mem::Mmu> mmus_;
   NodeArray<node::Transputer> cpus_;
+  /// cpus_ by node id. Every partition scheduler indexes this one table,
+  /// so it is declared before them and outlives them.
+  std::vector<node::Transputer*> cpu_ptrs_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<node::CommSystem> comm_;
   std::vector<std::unique_ptr<sched::PartitionScheduler>> partition_scheds_;

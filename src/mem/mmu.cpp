@@ -25,11 +25,11 @@ Mmu::Mmu(sim::Simulation& sim, std::size_t capacity, sim::SimTime service_time,
       service_time_(service_time),
       discipline_(discipline) {
   if (capacity == 0) throw std::invalid_argument("Mmu capacity must be > 0");
-  // Paid at construction so the steady state stays allocation-free: the
-  // free list fragments and recoalesces under churn, and the grant pool
-  // fills on the first burst of requests.
-  free_.reserve(32);
-  grants_.reserve(16);
+  // No reservation: a machine builds one MMU per node, and most never block
+  // a request or hold more than a few grants at once. The free list, the
+  // grant pool and the blocked queue each grow by doubling to the depth
+  // this node's traffic reaches and keep it, so the steady state is still
+  // allocation-free.
   free_.push_back(FreeRange{0, capacity});
 }
 
@@ -139,32 +139,25 @@ void Mmu::pump() {
   // Grants found in one scan all fire at now + service_time, oldest
   // request first: no user code runs inside the scan, so nothing else is
   // scheduled between them.
+  const auto grant = [this](Pending& p, std::size_t offset) {
+    total_block_time_ += sim_.now() - p.enqueued;
+    obs::observe(grant_latency_, (sim_.now() - p.enqueued).to_seconds());
+    deliver(offset, p.bytes, std::move(p.on_grant), p.owner);
+  };
   if (discipline_ == MmuDiscipline::kFifo) {
     while (!queue_.empty()) {
       auto offset = carve(queue_.front().bytes);
       if (!offset) break;  // head-of-line blocking
-      Pending head = std::move(queue_.front());
+      grant(queue_.front(), *offset);
       queue_.pop_front();
-      total_block_time_ += sim_.now() - head.enqueued;
-      obs::observe(grant_latency_, (sim_.now() - head.enqueued).to_seconds());
-      deliver(*offset, head.bytes, std::move(head.on_grant), head.owner);
     }
   } else {
     // First-fit scan: grant anything that fits, oldest first.
-    for (auto it = queue_.begin(); it != queue_.end();) {
-      auto offset = carve(it->bytes);
-      if (!offset) {
-        ++it;
-        continue;
-      }
-      Pending granted = std::move(*it);
-      it = queue_.erase(it);
-      total_block_time_ += sim_.now() - granted.enqueued;
-      obs::observe(grant_latency_,
-                   (sim_.now() - granted.enqueued).to_seconds());
-      deliver(*offset, granted.bytes, std::move(granted.on_grant),
-              granted.owner);
-    }
+    queue_.erase_if([&](Pending& p) {
+      auto offset = carve(p.bytes);
+      if (offset) grant(p, *offset);
+      return offset.has_value();
+    });
   }
 }
 
@@ -197,15 +190,11 @@ std::size_t Mmu::cancel_owner(const void* owner) {
   // callback's destructor may release Blocks, which re-enters pump() and
   // would invalidate the iterators below.
   std::vector<Grant> doomed;
-  for (auto it = queue_.begin(); it != queue_.end();) {
-    if (it->owner == owner) {
-      doomed.push_back(std::move(it->on_grant));
-      it = queue_.erase(it);
-      ++n;
-    } else {
-      ++it;
-    }
-  }
+  n += queue_.erase_if([&](Pending& p) {
+    if (p.owner != owner) return false;
+    doomed.push_back(std::move(p.on_grant));
+    return true;
+  });
   grants_.for_each_live([&](std::uint32_t slot) {
     GrantSlot& g = grants_[slot];
     if (g.owner != owner) return;

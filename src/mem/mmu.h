@@ -12,12 +12,12 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
 
 #include "obs/timeline.h"
+#include "sim/ring_queue.h"
 #include "sim/simulation.h"
 #include "sim/slot_pool.h"
 #include "sim/stats.h"
@@ -164,7 +164,7 @@ class Mmu {
     std::size_t size;
   };
   struct Pending {
-    std::size_t bytes;
+    std::size_t bytes = 0;
     Grant on_grant;
     sim::SimTime enqueued;
     const void* owner = nullptr;
@@ -198,8 +198,8 @@ class Mmu {
   obs::NameId name_blocked_ = 0;
   obs::Distribution* grant_latency_ = nullptr;
   std::vector<FreeRange> free_;  // sorted by offset, coalesced
-  std::deque<Pending> queue_;
-  sim::SlotPool<GrantSlot> grants_;
+  sim::RingQueue<Pending> queue_;  // blocked requests, arrival order
+  sim::SlotPool<GrantSlot> grants_{2};
   std::size_t used_ = 0;
   std::size_t high_watermark_ = 0;
   std::uint64_t alloc_count_ = 0;

@@ -68,6 +68,8 @@ class AdaptiveScheduler final : public Scheduler {
   /// flight) and requeues or fails it.
   void abort_running(JobId id);
 
+  /// Machine-wide CPU table, shared by every partition scheduler created
+  /// here (declared before running_ and retired_, so it outlives them).
   std::vector<node::Transputer*> cpus_;
   node::CommSystem& comm_;
   PolicyConfig policy_;

@@ -28,12 +28,12 @@ std::string_view to_string(PolicyKind kind) {
 
 PartitionScheduler::PartitionScheduler(sim::Simulation& sim,
                                        Partition partition,
-                                       std::vector<node::Transputer*> cpus,
+                                       std::span<node::Transputer* const> cpus,
                                        node::CommSystem& comm,
                                        PolicyConfig policy, Params params)
     : sim_(sim),
       partition_(std::move(partition)),
-      cpus_(std::move(cpus)),
+      cpus_(cpus),
       comm_(comm),
       policy_(policy),
       params_(params) {}

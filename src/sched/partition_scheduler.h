@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,9 +48,12 @@ class PartitionScheduler {
   using CompletionHandler = std::function<void(PartitionScheduler&, Job&)>;
   using Params = PartitionSchedParams;
 
-  /// `cpus[i]` must be node i's Transputer (machine-wide indexing).
+  /// `cpus[i]` must be node i's Transputer: the whole machine's table, not
+  /// the partition's, since processes are placed by machine node id. The
+  /// scheduler keeps a view of it, so every partition shares one table and
+  /// its owner must outlive the scheduler.
   PartitionScheduler(sim::Simulation& sim, Partition partition,
-                     std::vector<node::Transputer*> cpus,
+                     std::span<node::Transputer* const> cpus,
                      node::CommSystem& comm, PolicyConfig policy,
                      Params params = {});
 
@@ -118,7 +122,7 @@ class PartitionScheduler {
 
   sim::Simulation& sim_;
   Partition partition_;
-  std::vector<node::Transputer*> cpus_;
+  std::span<node::Transputer* const> cpus_;
   node::CommSystem& comm_;
   PolicyConfig policy_;
   Params params_;

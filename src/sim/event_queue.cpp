@@ -7,10 +7,9 @@
 namespace tmc::sim {
 
 SlotHandle EventQueue::acquire_slot() {
-  // One queue serves a whole simulation and routinely holds thousands of
-  // pending events; the pool reserves kInitialSlots up front and doubles
-  // after that, and the heap array follows it, so neither relocates on the
-  // schedule hot path.
+  // The pool reserves kInitialSlots on first use and doubles after that,
+  // and the heap array follows it, so once the pending set has reached its
+  // peak neither relocates on the schedule hot path.
   const SlotHandle handle = slots_.acquire(
       [this](std::size_t capacity) { heap_.reserve(capacity); });
   slots_[handle.index].stepped = false;

@@ -190,12 +190,15 @@ class EventQueue {
     SimTime step;
     SimTime deadline;
   };
-  /// Slot-pool capacity reserved on first use: 4096 x 80 B slots plus the
-  /// 4096 x 24 B heap array reserved beside it, about 416 KiB.
-  /// One queue serves a whole simulated machine, so this is paid once per
-  /// simulation; it covers the pending-set peaks the paper's experiments
-  /// reach so the pool never regrows mid-run.
-  static constexpr std::size_t kInitialSlots = 4096;
+  /// Slot-pool capacity reserved on first use: 1024 x 80 B slots plus the
+  /// 1024 x 24 B heap array reserved beside it, 104 KiB. It covers the
+  /// pending-set peaks measured so far (about 150 on the paper's 16-node
+  /// batches, one per node on a 1,024-node machine); a larger run doubles
+  /// the pool and keeps that capacity. 4096 slots left three quarters
+  /// unused. 256 slots measured 8% slower set-up of the paper's 16-node
+  /// machines (glibc, x86-64), although none outgrows them: an allocator
+  /// effect, mostly in machine construction, which no event reaches.
+  static constexpr std::size_t kInitialSlots = 1024;
 
   static constexpr EventId make_id(SlotHandle slot) {
     return (static_cast<EventId>(slot.generation) << 32) |

@@ -9,10 +9,13 @@
 namespace tmc::sim {
 
 /// Drop-in FIFO replacement for std::deque on hot paths: a power-of-two
-/// ring over one contiguous allocation. std::deque allocates a fresh block
-/// every few dozen pushes no matter how steady the queue's depth is; a ring
-/// only allocates when the high-water mark grows, so a scheduler queue that
-/// warms up once stops touching the allocator for the rest of the run.
+/// ring over one contiguous allocation. std::deque allocates a block at
+/// construction and a fresh one every few dozen pushes no matter how steady
+/// the queue's depth is. A ring allocates nothing until its first push,
+/// then only when the high-water mark grows (capacity 2, doubling), so a
+/// queue that warms up once stops touching the allocator for the rest of
+/// the run, and a queue a run never uses costs only the object itself.
+/// Every node owns several, most of them a few entries deep at most.
 ///
 /// Elements must be default-constructible and movable: pop_front() resets
 /// the vacated slot to T{} so resources held by the element (buffers,
@@ -55,21 +58,29 @@ class RingQueue {
     return buf_[wrap(head_ + i)];
   }
 
-  /// Removes every element equal to `value`, preserving the order of the
-  /// rest. O(n); for the rare removal of a parked entry, not the hot path.
-  std::size_t erase_value(const T& value) {
+  /// Calls `pred` once on each element, front to back, and removes those it
+  /// returns true for, preserving the order of the rest. `pred` may move
+  /// from an element it removes, but must not touch this queue. O(n); for
+  /// scans and the rare removal of a parked entry, not the hot path.
+  template <typename Pred>
+  std::size_t erase_if(Pred&& pred) {
     std::size_t kept = 0;
     const std::size_t n = size_;
     for (std::size_t i = 0; i < n; ++i) {
       T& elem = buf_[wrap(head_ + i)];
-      if (elem == value) continue;
+      if (pred(elem)) continue;
       if (kept != i) buf_[wrap(head_ + kept)] = std::move(elem);
       ++kept;
     }
     for (std::size_t i = kept; i < n; ++i) buf_[wrap(head_ + i)] = T{};
-    const std::size_t removed = n - kept;
     size_ = kept;
-    return removed;
+    return n - kept;
+  }
+
+  /// Removes every element equal to `value`, preserving the order of the
+  /// rest.
+  std::size_t erase_value(const T& value) {
+    return erase_if([&value](const T& elem) { return elem == value; });
   }
 
  private:
@@ -78,7 +89,7 @@ class RingQueue {
   }
 
   void grow() {
-    const std::size_t cap = buf_.empty() ? 16 : buf_.size() * 2;
+    const std::size_t cap = buf_.empty() ? 2 : buf_.size() * 2;
     std::vector<T> next(cap);
     for (std::size_t i = 0; i < size_; ++i) {
       next[i] = std::move(buf_[wrap(head_ + i)]);

@@ -312,6 +312,11 @@ TEST_P(DrawQuiescence, EndsDrainedAndReplays) {
   const bool parked_draw = GetParam() == kParkedDraw;
   EXPECT_EQ(parked, parked_draw ? 5u : 0u);
   EXPECT_EQ(held, parked_draw ? 153'680u : 0u);
+  // Without faults no message is lost: every send, self-sends included
+  // (they count in both), was delivered.
+  if (!draw.faults.enabled()) {
+    EXPECT_EQ(machine.comm().deliveries(), machine.comm().sends());
+  }
 
   // A second plain run of the draw replays the first exactly.
   const core::RunResult replay =
