@@ -1,20 +1,34 @@
 // Matmul policy study: one slice of the paper's Figures 3/4 with per-class
 // breakdowns, plus the machine-level counters that explain the result.
 //
-// Usage: matmul_study [partition_size] (default 8)
+// Usage: matmul_study [partition_size] (default 8; must divide 16). A
+// malformed or non-dividing size, or an extra argument, exits 2.
 
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
+#include "cli/flags.h"
 #include "core/experiment.h"
 #include "core/report.h"
 
 int main(int argc, char** argv) {
   using namespace tmc;
-  const int partition = argc > 1 ? std::atoi(argv[1]) : 8;
-  if (partition <= 0 || 16 % partition != 0) {
-    std::cerr << "partition size must divide 16\n";
-    return 1;
+  if (argc > 2) {
+    std::cerr << "usage: matmul_study [partition_size]\n";
+    return 2;
+  }
+  int partition = 8;
+  if (argc > 1) {
+    const std::string error =
+        cli::parse_integer("partition_size", argv[1], 1, 16, partition);
+    if (!error.empty()) {
+      std::cerr << "matmul_study: " << error << "\n";
+      return 2;
+    }
+  }
+  if (16 % partition != 0) {
+    std::cerr << "matmul_study: partition size must divide 16\n";
+    return 2;
   }
 
   std::cout << "Matmul batch (12 x 60^2 + 4 x 120^2 doubles) on a 16-node "

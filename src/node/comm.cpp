@@ -1,6 +1,7 @@
 #include "node/comm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
@@ -36,39 +37,56 @@ CommSystem::CommSystem(sim::Simulation& sim, net::Network& network,
   }
 }
 
-void CommSystem::grow_window(JobWindow& window, std::uint32_t need) {
-  const std::uint32_t cap =
-      std::max({need, window.cap * 2, std::uint32_t{4}});
-  const auto off = static_cast<std::uint32_t>(slots_.size());
-  slots_.resize(slots_.size() + cap, nullptr);
-  for (std::uint32_t i = 0; i < window.cap; ++i) {
-    slots_[off + i] = slots_[window.off + i];
-    slots_[window.off + i] = nullptr;  // dead block must not alias processes
+void CommSystem::open_job(JobId job, std::uint32_t processes) {
+  assert(processes > 0 && processes <= 1u << net::kEndpointRankBits);
+  if (jobs_.size() <= job) jobs_.resize(job + 1);
+  JobWindow& window = jobs_[job];
+  assert(window.cap == 0 && "job already holds an endpoint window");
+  const auto size_class =
+      static_cast<std::size_t>(std::bit_width(processes - 1));
+  std::vector<std::uint32_t>& free = free_windows_[size_class];
+  window.cap = std::uint32_t{1} << size_class;
+  if (free.empty()) {
+    window.off = static_cast<std::uint32_t>(slots_.size());
+    slots_.resize(slots_.size() + window.cap, nullptr);
+  } else {
+    window.off = free.back();
+    free.pop_back();
   }
-  window.off = off;
-  window.cap = cap;
 }
 
 void CommSystem::register_process(Process& p) {
   assert(p.node() != net::kInvalidNode && "bind process to a node first");
   const auto job = static_cast<std::size_t>(net::endpoint_job(p.id()));
   const auto rank = static_cast<std::uint32_t>(net::endpoint_rank(p.id()));
-  if (jobs_.size() <= job) jobs_.resize(job + 1);
+  if (job >= jobs_.size() || rank >= jobs_[job].cap) {
+    throw std::logic_error("endpoint " + std::to_string(p.id()) +
+                           " is outside its job's open window");
+  }
   JobWindow& window = jobs_[job];
-  if (rank >= window.cap) grow_window(window, rank + 1);
   Process*& slot = slots_[window.off + rank];
   if (slot != nullptr) {
     throw std::logic_error("endpoint " + std::to_string(p.id()) +
                            " already registered");
   }
   slot = &p;
+  ++window.live;
 }
 
 void CommSystem::unregister_process(net::EndpointId id) {
   const auto job = static_cast<std::size_t>(net::endpoint_job(id));
   const auto rank = static_cast<std::uint32_t>(net::endpoint_rank(id));
-  if (job < jobs_.size() && rank < jobs_[job].cap) {
-    slots_[jobs_[job].off + rank] = nullptr;
+  if (job >= jobs_.size() || rank >= jobs_[job].cap) return;
+  JobWindow& window = jobs_[job];
+  Process*& slot = slots_[window.off + rank];
+  if (slot == nullptr) return;
+  slot = nullptr;
+  if (--window.live == 0) {
+    // The job's last endpoint: its (now all-null) window is free for the
+    // next job of its size class, and the job's ids resolve to nothing.
+    free_windows_[static_cast<std::size_t>(std::countr_zero(window.cap))]
+        .push_back(window.off);
+    window = JobWindow{};
   }
 }
 
@@ -77,6 +95,12 @@ Process* CommSystem::find(net::EndpointId id) const {
   const auto rank = static_cast<std::uint32_t>(net::endpoint_rank(id));
   if (job >= jobs_.size() || rank >= jobs_[job].cap) return nullptr;
   return slots_[jobs_[job].off + rank];
+}
+
+std::size_t CommSystem::open_windows() const {
+  return static_cast<std::size_t>(
+      std::count_if(jobs_.begin(), jobs_.end(),
+                    [](const JobWindow& w) { return w.cap != 0; }));
 }
 
 void CommSystem::set_job_active(JobId job, bool active) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -52,11 +53,23 @@ class CommSystem {
   CommSystem(const CommSystem&) = delete;
   CommSystem& operator=(const CommSystem&) = delete;
 
-  /// Processes must be registered (after node binding) before any message
-  /// addressed to them is sent.
+  /// Opens `job`'s endpoint window for ranks [0, processes): a window of
+  /// the next power-of-two capacity, reused from that capacity's free list
+  /// when one is there. The window goes back to its list when the job's
+  /// last registered process unregisters (completion or abort), so the
+  /// arena holds only what the most jobs ever live at once need.
+  void open_job(JobId job, std::uint32_t processes);
+  /// Processes must be registered (after node binding, inside their job's
+  /// open window) before any message addressed to them is sent.
   void register_process(Process& p);
   void unregister_process(net::EndpointId id);
+  /// Null for an unregistered endpoint, including every endpoint of a job
+  /// whose window was released.
   [[nodiscard]] Process* find(net::EndpointId id) const;
+  /// Jobs holding an endpoint window (none once every job has torn down).
+  [[nodiscard]] std::size_t open_windows() const;
+  /// Endpoint slots the arena has carved, open and free windows alike.
+  [[nodiscard]] std::size_t arena_slots() const { return slots_.size(); }
 
   /// Coscheduling hook: while a job is marked inactive its messages stop
   /// progressing through the network (parking where they are and pinning
@@ -133,19 +146,11 @@ class CommSystem {
   /// Messages currently waiting in registered processes' mailboxes
   /// (machine-wide mailbox queue depth; sampled by the obs layer).
   [[nodiscard]] std::size_t pending_mailbox_messages() const {
-    std::size_t total = 0;
-    for (const Process* p : slots_) {
-      if (p != nullptr) total += p->mailbox().size();
-    }
-    return total;
+    return sum_mailboxes([](const Mailbox& m) { return m.size(); });
   }
   /// Node memory pinned by those undelivered messages, in bytes.
   [[nodiscard]] std::size_t pending_mailbox_bytes() const {
-    std::size_t total = 0;
-    for (const Process* p : slots_) {
-      if (p != nullptr) total += p->mailbox().buffered_bytes();
-    }
-    return total;
+    return sum_mailboxes([](const Mailbox& m) { return m.buffered_bytes(); });
   }
 
  private:
@@ -171,6 +176,17 @@ class CommSystem {
     return fault_ != nullptr &&
            msg.incarnation != incarnation(static_cast<JobId>(msg.job));
   }
+  /// Sums `f(mailbox)` over the registered processes of the open windows.
+  template <typename F>
+  [[nodiscard]] std::size_t sum_mailboxes(F f) const {
+    std::size_t total = 0;
+    for (const JobWindow& window : jobs_) {
+      for (std::uint32_t i = 0; i < window.cap; ++i) {
+        if (const Process* p = slots_[window.off + i]) total += f(p->mailbox());
+      }
+    }
+    return total;
+  }
   /// Loss reaction: schedule a backoff resend or declare comm failure.
   void on_loss(const net::Message& msg);
   void resend(net::Message msg);
@@ -180,19 +196,23 @@ class CommSystem {
   std::vector<Transputer*> cpus_;
   Params params_;
   /// Endpoint registry indexed [job][rank] via the canonical EndpointId
-  /// encoding. JobIds are assigned densely by the workload generators and
-  /// ranks are dense per job, so a per-job {offset, capacity} window into
-  /// one flat slot arena resolves every send and delivery without hashing
-  /// -- and without a heap vector per job. Windows grow geometrically by
-  /// relocating to the arena tail (abandoned blocks are nulled; at 1024
-  /// nodes the arena is one contiguous allocation instead of ~70 vectors).
+  /// encoding. JobIds are assigned densely by the workload generators (and
+  /// recycled by the serve loop) and ranks are dense per job, so a per-job
+  /// {offset, capacity} window into one flat slot arena resolves every
+  /// send and delivery without hashing -- and without a heap vector per
+  /// job. A window is opened once at its final power-of-two size and lives
+  /// as long as its job's endpoints; a closed job's entry has capacity 0.
   struct JobWindow {
     std::uint32_t off = 0;
     std::uint32_t cap = 0;
+    std::uint32_t live = 0;  // registered endpoints
   };
-  void grow_window(JobWindow& window, std::uint32_t need);
   std::vector<JobWindow> jobs_;
   std::vector<Process*> slots_;
+  /// [log2 capacity] -> arena offsets of released windows of that size
+  /// (a rank fits in kEndpointRankBits bits).
+  std::array<std::vector<std::uint32_t>, net::kEndpointRankBits + 1>
+      free_windows_;
   /// Jobs whose communication is frozen. At most the machine's total
   /// multiprogramming level entries, toggled on every gang turn: a flat
   /// vector with linear membership checks never allocates once warm, where

@@ -209,9 +209,8 @@ void Transputer::dispatch() {
     return;  // frozen: nothing starts until restore()
   }
   if (!high_queue_.empty()) {
-    current_high_ = std::move(high_queue_.front());
-    high_queue_.pop_front();
-    plan_charge(ChargeKind::kHigh, current_high_.cost);
+    // The item stays at the head of its queue until its charge ends.
+    plan_charge(ChargeKind::kHigh, high_queue_.front().cost);
     return;
   }
   if (current_ == nullptr) {
@@ -497,7 +496,8 @@ void Transputer::on_charge_done() {
 
   switch (kind) {
     case ChargeKind::kHigh: {
-      auto done = std::move(current_high_.done);
+      auto done = std::move(high_queue_.front().done);
+      high_queue_.pop_front();
       if (done) done();
       dispatch();
       return;

@@ -250,7 +250,9 @@ class Transputer {
   obs::NameId name_exit_ = 0;
 
   // Ring-buffer FIFOs: these queues churn on every dispatch, and a deque
-  // would pay a block allocation every few dozen pushes forever.
+  // would pay a block allocation every few dozen pushes forever. The high
+  // item being charged stays at the head of its queue until its charge
+  // ends, as daemon items do.
   sim::RingQueue<HighWork> high_queue_;
   sim::RingQueue<Process*> low_queue_;
   sim::RingQueue<ServiceWork> service_queue_;
@@ -260,7 +262,6 @@ class Transputer {
   Process* current_ = nullptr;      // low process holding the CPU
   Process* last_ran_ = nullptr;     // for context-switch accounting
   sim::SimTime quantum_left_;
-  HighWork current_high_;
 
   sim::EventId charge_event_ = sim::kNoEvent;
   bool pump_scheduled_ = false;

@@ -63,6 +63,7 @@ void PartitionScheduler::admit(Job& job) {
 
   const int rotation = params_.rotate_placement ? placement_rotation_++ : 0;
   job.processes().reserve(static_cast<std::size_t>(procs));
+  comm_.open_job(job.id(), static_cast<std::uint32_t>(procs));
   for (int rank = 0; rank < procs; ++rank) {
     auto process = std::make_unique<node::Process>(
         endpoint_of(job.id(), rank), job.id(), std::move(programs[static_cast<std::size_t>(rank)]));

@@ -180,9 +180,9 @@ class EventQueue {
     Callback callback;
     bool stepped = false;  // its schedule lives in stepping_[slot index]
   };
-  // One pending event is 80 bytes: the callback, its stepped flag and the
-  // pool's generation and free-list words.
-  static_assert(SlotPool<Slot>::kSlotBytes == 80);
+  // One pending event is 72 bytes: the 56-byte callback, its stepped flag
+  // and the pool's generation and free-list words.
+  static_assert(SlotPool<Slot>::kSlotBytes == 72);
   /// Schedule of a stepped event, kept beside the slot pool (indexed like
   /// it) so plain events do not pay for it.
   struct Stepping {
@@ -190,8 +190,8 @@ class EventQueue {
     SimTime step;
     SimTime deadline;
   };
-  /// Slot-pool capacity reserved on first use: 1024 x 80 B slots plus the
-  /// 1024 x 24 B heap array reserved beside it, 104 KiB. It covers the
+  /// Slot-pool capacity reserved on first use: 1024 x 72 B slots plus the
+  /// 1024 x 24 B heap array reserved beside it, 96 KiB. It covers the
   /// pending-set peaks measured so far (about 150 on the paper's 16-node
   /// batches, one per node on a 1,024-node machine); a larger run doubles
   /// the pool and keeps that capacity. 4096 slots left three quarters

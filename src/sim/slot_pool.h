@@ -41,9 +41,9 @@ class SlotPool {
   static constexpr std::uint32_t kLive = 0xfffffffeu;
 
   struct Node {
-    // The bookkeeping words may sit in the payload's tail padding (a
-    // callback plus a flag leaves 15 bytes there), so the event kernel's
-    // slot costs no more than the payload alone.
+    // The bookkeeping words may sit in the payload's tail padding when 8
+    // bytes are free there; the event kernel's payload (a 56-byte callback
+    // plus a flag) leaves 7, so its slot is the payload's 64 bytes plus 8.
     [[no_unique_address]] T value{};
     std::uint32_t generation = 0;
     std::uint32_t next_free = kLive;  // free-list link, or kLive

@@ -31,10 +31,13 @@ class UniqueFunction<R(Args...)> {
  public:
   /// Callables at most this large (and at most kInlineAlign-aligned) with a
   /// non-throwing move constructor are stored inline; 48 bytes covers the
-  /// kernel's event lambdas (a handful of pointers/ids) with room to spare
-  /// while keeping the whole object inside one cache line.
+  /// kernel's event lambdas (a handful of pointers/ids) with room to spare.
+  /// Pointer alignment fits every capture the simulator makes (pointers,
+  /// ids, SimTimes, Blocks) and keeps the object at 56 bytes, where
+  /// max_align_t's 16 would pad it to 64 and every record embedding one by
+  /// up to 16 more; a more-aligned callable takes the heap path.
   static constexpr std::size_t kInlineSize = 48;
-  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
+  static constexpr std::size_t kInlineAlign = alignof(void*);
 
   UniqueFunction() = default;
   UniqueFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)

@@ -309,6 +309,10 @@ TEST_P(DrawQuiescence, EndsDrainedAndReplays) {
     }
     held += machine.mmu(node).bytes_used();
   }
+  // Every job tore down, so every endpoint window is back on a free list
+  // (even the draw whose aborted run left messages parked).
+  EXPECT_EQ(machine.comm().open_windows(), 0u);
+  EXPECT_GT(machine.comm().arena_slots(), 0u);
   const bool parked_draw = GetParam() == kParkedDraw;
   EXPECT_EQ(parked, parked_draw ? 5u : 0u);
   EXPECT_EQ(held, parked_draw ? 153'680u : 0u);

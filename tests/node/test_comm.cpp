@@ -31,6 +31,8 @@ class CommTest : public ::testing::Test {
     comm = std::make_unique<CommSystem>(
         sim, *network,
         std::vector<Transputer*>{cpus[0].get(), cpus[1].get()});
+    // spawn() registers job 0's endpoints: ranks below 8.
+    comm->open_job(0, 8);
   }
 
   std::unique_ptr<Process> spawn(net::EndpointId id, net::NodeId node,
@@ -142,56 +144,129 @@ TEST_F(CommTest, RequestReplyRoundTrip) {
   EXPECT_EQ(mmus[1]->bytes_used(), 0u);
 }
 
-TEST_F(CommTest, RegistryWindowGrowsAcrossRanks) {
-  // The registry stores processes in per-job {offset, cap} windows into one
-  // flat arena; registering ever-higher ranks forces repeated relocation to
-  // the arena tail. Every earlier endpoint must survive each move.
-  constexpr net::EndpointId kJob = 3;
+/// Job `job`'s endpoint at `rank`.
+net::EndpointId endpoint(JobId job, std::uint64_t rank) {
+  return (net::EndpointId{job} << net::kEndpointRankBits) | rank;
+}
+
+TEST_F(CommTest, RegistryWindowHoldsEveryRank) {
+  // A job's window is opened once at its final size (40 ranks take a
+  // 64-slot window); every endpoint resolves, and unregistering one
+  // removes exactly that endpoint.
+  constexpr JobId kJob = 3;
+  const std::size_t arena = comm->arena_slots();
+  comm->open_job(kJob, 40);
+  EXPECT_EQ(comm->arena_slots(), arena + 64);
   std::vector<std::unique_ptr<Process>> procs;
   for (std::uint64_t rank = 0; rank < 40; ++rank) {
-    const net::EndpointId id = (kJob << net::kEndpointRankBits) | rank;
-    auto p = std::make_unique<Process>(id, kJob, Program{}.exit());
+    auto p = std::make_unique<Process>(endpoint(kJob, rank), kJob,
+                                       Program{}.exit());
     p->bind_to_node(static_cast<net::NodeId>(rank % 2));
     comm->register_process(*p);
     procs.push_back(std::move(p));
-    for (std::uint64_t r = 0; r <= rank; ++r) {
-      const net::EndpointId probe = (kJob << net::kEndpointRankBits) | r;
-      ASSERT_EQ(comm->find(probe), procs[r].get()) << "after rank " << rank;
-    }
   }
-  // The abandoned blocks must not alias live processes: unregistering one
-  // endpoint removes exactly that endpoint.
-  const net::EndpointId victim = (kJob << net::kEndpointRankBits) | 7;
-  comm->unregister_process(victim);
-  EXPECT_EQ(comm->find(victim), nullptr);
-  EXPECT_EQ(comm->find((kJob << net::kEndpointRankBits) | 6), procs[6].get());
-  EXPECT_EQ(comm->find((kJob << net::kEndpointRankBits) | 8), procs[8].get());
+  for (std::uint64_t rank = 0; rank < 40; ++rank) {
+    EXPECT_EQ(comm->find(endpoint(kJob, rank)), procs[rank].get());
+  }
+  comm->unregister_process(endpoint(kJob, 7));
+  EXPECT_EQ(comm->find(endpoint(kJob, 7)), nullptr);
+  EXPECT_EQ(comm->find(endpoint(kJob, 6)), procs[6].get());
+  EXPECT_EQ(comm->find(endpoint(kJob, 8)), procs[8].get());
+  // A rank outside the job's window cannot register.
+  Process outside(endpoint(kJob, 64), kJob, Program{}.exit());
+  outside.bind_to_node(0);
+  EXPECT_THROW(comm->register_process(outside), std::logic_error);
 }
 
 TEST_F(CommTest, RegistryKeepsJobsIndependent) {
-  // Growth of one job's window must not disturb another's entries.
-  auto make = [&](net::EndpointId job, std::uint64_t rank) {
-    const net::EndpointId id = (job << net::kEndpointRankBits) | rank;
-    auto p = std::make_unique<Process>(id, static_cast<JobId>(job),
+  auto make = [&](JobId job, std::uint64_t rank) {
+    auto p = std::make_unique<Process>(endpoint(job, rank), job,
                                        Program{}.exit());
     p->bind_to_node(0);
     comm->register_process(*p);
     return p;
   };
+  comm->open_job(1, 10);
+  comm->open_job(2, 1);
   auto a0 = make(1, 0);
   auto b0 = make(2, 0);
-  auto a9 = make(1, 9);  // grows job 1's window past job 2's block
-  EXPECT_EQ(comm->find((net::EndpointId{2} << net::kEndpointRankBits) | 0),
-            b0.get());
-  EXPECT_EQ(comm->find((net::EndpointId{1} << net::kEndpointRankBits) | 0),
-            a0.get());
-  EXPECT_EQ(comm->find((net::EndpointId{1} << net::kEndpointRankBits) | 9),
-            a9.get());
+  auto a9 = make(1, 9);
+  EXPECT_EQ(comm->find(endpoint(2, 0)), b0.get());
+  EXPECT_EQ(comm->find(endpoint(1, 0)), a0.get());
+  EXPECT_EQ(comm->find(endpoint(1, 9)), a9.get());
   // Unknown jobs and out-of-window ranks resolve to null, not garbage.
-  EXPECT_EQ(comm->find((net::EndpointId{5} << net::kEndpointRankBits) | 0),
-            nullptr);
-  EXPECT_EQ(comm->find((net::EndpointId{1} << net::kEndpointRankBits) | 100),
-            nullptr);
+  EXPECT_EQ(comm->find(endpoint(5, 0)), nullptr);
+  EXPECT_EQ(comm->find(endpoint(1, 100)), nullptr);
+  EXPECT_EQ(comm->open_windows(), 3u);  // jobs 0, 1 and 2
+}
+
+/// Never crashes a node, downs a link or drops a message: arms the comm
+/// system's fault mode (incarnations, stale discards) and nothing else.
+class QuietFaultPlane : public net::FaultPlane {
+ public:
+  bool node_alive(net::NodeId) const override { return true; }
+  bool link_usable(net::LinkId) const override { return true; }
+  bool should_drop(const net::Message&) override { return false; }
+};
+
+TEST_F(CommTest, TornDownJobsWindowIsReusedWithoutAliasing) {
+  QuietFaultPlane plane;
+  comm->enable_faults(&plane, 0, SimTime::milliseconds(1), nullptr, nullptr);
+  std::vector<std::unique_ptr<Process>> procs;
+  const auto start = [&](JobId job, std::uint64_t rank, Program prog) {
+    procs.push_back(
+        std::make_unique<Process>(endpoint(job, rank), job, std::move(prog)));
+    Process& p = *procs.back();
+    p.bind_to_node(static_cast<net::NodeId>(rank));
+    comm->register_process(p);
+    cpus[rank]->make_ready(p);
+    return &p;
+  };
+  // Job 1: rank 0 sends 64 KB to rank 1, which is busy computing.
+  const std::size_t arena = comm->arena_slots();
+  comm->open_job(1, 2);
+  Program sender, receiver;
+  sender.send(endpoint(1, 1), 5, 64 * 1024).exit();
+  receiver.compute(SimTime::seconds(1)).receive(5).exit();
+  Process* old_sender = start(1, 0, std::move(sender));
+  Process* old_receiver = start(1, 1, std::move(receiver));
+  EXPECT_EQ(comm->arena_slots(), arena + 2);
+  // Stop once the message is injected, then tear job 1 down the way an
+  // abort does: force-exit, unregister, bump the incarnation.
+  while (comm->sends() == 0 && sim.step()) {
+  }
+  ASSERT_EQ(comm->sends(), 1u);
+  ASSERT_EQ(network->in_flight(), 1u);
+  for (Process* p : {old_sender, old_receiver}) {
+    cpus[static_cast<std::size_t>(p->node())]->force_exit(*p);
+    comm->unregister_process(p->id());
+  }
+  comm->abort_job(1);
+  EXPECT_EQ(comm->open_windows(), 1u);  // the fixture's job 0 only
+  EXPECT_EQ(comm->find(endpoint(1, 1)), nullptr);
+
+  // Job 2 takes job 1's window: the arena does not grow.
+  comm->open_job(2, 2);
+  Program idle_a, idle_b;
+  idle_a.receive(9).exit();
+  idle_b.receive(9).exit();
+  Process* new0 = start(2, 0, std::move(idle_a));
+  Process* new1 = start(2, 1, std::move(idle_b));
+  EXPECT_EQ(comm->arena_slots(), arena + 2);
+  // Job 1's endpoints stay dead: none aliases job 2's processes.
+  EXPECT_EQ(comm->find(endpoint(1, 0)), nullptr);
+  EXPECT_EQ(comm->find(endpoint(1, 1)), nullptr);
+  EXPECT_EQ(comm->find(endpoint(2, 0)), new0);
+  EXPECT_EQ(comm->find(endpoint(2, 1)), new1);
+
+  // The message to job 1's old life dies at delivery, as a stale discard,
+  // and reaches no mailbox of job 2.
+  sim.run();
+  EXPECT_EQ(comm->stale_discards(), 1u);
+  EXPECT_EQ(comm->deliveries(), 0u);
+  EXPECT_EQ(comm->messages_lost(), 0u);
+  EXPECT_TRUE(new0->mailbox().empty());
+  EXPECT_TRUE(new1->mailbox().empty());
 }
 
 TEST_F(CommTest, ManyMessagesAllArrive) {
@@ -216,9 +291,8 @@ TEST_F(CommTest, ThawingOneJobLeavesOtherJobsParked) {
   network->set_metrics(&parks);
   comm->set_job_active(1, false);
   comm->set_job_active(2, false);
-  const auto endpoint = [](JobId job, net::EndpointId rank) {
-    return (net::EndpointId{job} << net::kEndpointRankBits) | rank;
-  };
+  comm->open_job(1, 2);
+  comm->open_job(2, 2);
   std::vector<std::unique_ptr<Process>> procs;
   const auto start = [&](JobId job, net::EndpointId rank, Program prog) {
     procs.push_back(

@@ -99,6 +99,25 @@ TEST(UniqueFunction, OversizedCapturesFallBackToHeap) {
   EXPECT_EQ(moved(), 99u);
 }
 
+TEST(UniqueFunction, OverAlignedCapturesFallBackToHeap) {
+  // The inline buffer is pointer-aligned, which keeps the object at 56
+  // bytes; a capture that needs more alignment lives on the heap, where
+  // operator new honours it.
+  static_assert(sizeof(UniqueFunction<void()>) == 7 * sizeof(void*));
+  struct alignas(32) Wide {
+    std::uint64_t value = 0;
+  };
+  static_assert(!UniqueFunction<std::uint64_t()>::stores_inline<Wide>());
+  Wide wide;
+  wide.value = 42;
+  UniqueFunction<std::uint64_t()> f = [wide] {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&wide) % 32, 0u);
+    return wide.value;
+  };
+  EXPECT_FALSE(f.uses_inline_storage());
+  EXPECT_EQ(f(), 42u);
+}
+
 TEST(UniqueFunction, ThrowingMoveCapturesFallBackToHeap) {
   // Inline storage relocates with the callable's move constructor, so a
   // potentially-throwing move must live on the heap (pointer relocation).
